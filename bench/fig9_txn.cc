@@ -14,13 +14,20 @@
 //     worse than no number).
 //
 // Expected shape: single-thread abort rates are 0 (NO_WAIT cannot
-// conflict with itself); under threads the abort rate tracks the LENGTH
-// of the ascending lock ladder more than key skew -- a TPC-C txn spans
-// several table regions (table id in the key's top bits), and the
-// no-wait lateral walk between them crosses more chunks at higher
-// warehouse counts, so w=4 aborts MORE than w=1. At w=1 contention
-// shows up as speculative-read spinning on the hot locked chunks
-// (throughput drops without aborts) -- see docs/TRANSACTIONS.md.
+// conflict with itself), and single-thread YCSB-T throughput stays within
+// 2x from 4K to 256K rows: the lock pass reaches each key by a step of at
+// most two chunks or a no-wait re-seek through the index, so a commit
+// costs O(keys * log n), not O(key span) (the nightly lane pins this).
+// Under threads a YCSB-T abort needs a real chunk conflict -- another
+// transaction holding a floor chunk this one needs (chunk granularity, so
+// rows sharing a chunk conflict) -- or briefly a node on its seek path;
+// locked chunks a commit only steps past cost a re-seek. YCSB-T aborts
+// therefore track key skew, not the distance between keys. TPC-C-lite is
+// different: its order inserts commit through the lock manager, which
+// never gives them index entries, so each commit walks long orphan runs
+// that other new-orders are locking, and those walks both slow as orders
+// accumulate and abort on chunks the transaction does not need -- see
+// docs/TRANSACTIONS.md.
 #include <cstdio>
 #include <thread>
 #include <vector>

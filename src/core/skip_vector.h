@@ -1503,18 +1503,36 @@ class SkipVectorMap {
     prefetch_read(p + kCacheLineSize);
   }
 
+  // Opens a speculative read of n. Point operations wait out a writer
+  // (read_begin). kNoWait is the transaction lock pass (txn/lock_mgr.h),
+  // which already holds chunk locks: waiting on another pass's lock could
+  // deadlock the two, so a locked word fails the read instead.
+  template <bool kNoWait>
+  static Word read_open(const NodeBase* n) noexcept {
+    if constexpr (kNoWait) {
+      return n->lock.read_begin_no_wait();
+    } else {
+      return n->lock.read_begin();
+    }
+  }
+
+  // Under kNoWait a locked head yields t.node == nullptr.
+  template <bool kNoWait = false>
   Trav begin_traversal(Ctx& ctx) {
     Trav t;
     t.node = head_;
     t.slot = 0;
     ctx.protect(t.slot, t.node);  // heads are immortal, but keep it uniform
-    t.ver = t.node->lock.read_begin();
+    t.ver = read_open<kNoWait>(t.node);
+    if (kNoWait && Lock::is_locked(t.ver)) t.node = nullptr;
     return t;
   }
 
   // TraverseRight (Listing 2 lines 23-48). Moves t rightward until t.node is
   // the floor node for k in its layer, merging empty orphans (any caller)
-  // and under-threshold orphans (mutators). Returns false -> restart.
+  // and under-threshold orphans (mutators). Returns false -> restart; under
+  // kNoWait also when a node it must read is write-locked.
+  template <bool kNoWait = false>
   bool traverse_right(Ctx& ctx, Trav& t, K k, bool mutator) {
     for (;;) {
       const std::uint32_t sz = node_size(t.node);
@@ -1528,7 +1546,8 @@ class SkipVectorMap {
         note_retry(t.node);
         return false;
       }
-      const Word next_ver = next->lock.read_begin();
+      const Word next_ver = read_open<kNoWait>(next);
+      if (kNoWait && Lock::is_locked(next_ver)) return false;
 
       // Uncommon case: merge/remove nodes left behind by prior Removes
       // (lines 28-39). Empty orphans are merged by any operation;
@@ -1632,12 +1651,14 @@ class SkipVectorMap {
   }
 
   // ExchangeDown (Listing 2 lines 17-22): hand-over-hand move one layer down.
+  template <bool kNoWait = false>
   bool exchange_down(Ctx& ctx, Trav& t, NodeBase* down) {
     prefetch_node(down);
     const int nslot = other_slot(t.slot);
     ctx.protect(nslot, down);
     if (!t.node->lock.validate(t.ver)) return false;
-    const Word down_ver = down->lock.read_begin();
+    const Word down_ver = read_open<kNoWait>(down);
+    if (kNoWait && Lock::is_locked(down_ver)) return false;
     if (!t.node->lock.validate(t.ver)) return false;
     ctx.drop(t.slot);
     t = Trav{down, down_ver, nslot};

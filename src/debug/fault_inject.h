@@ -50,6 +50,8 @@ enum class Point : std::uint8_t {
                     // commit version and apply staged ops
   kVersionFold,     // split/merge: version chains about to be folded across
                     // the new chunk boundary (locks held)
+  kTxnLockStep,     // lock_floor_from: successor validated as linked, its
+                    // lock word not yet read
   kCount
 };
 
@@ -68,6 +70,7 @@ inline const char* point_name(Point p) noexcept {
     case Point::kMutEarlyRelease: return "mut-early-release";
     case Point::kBatchCommit: return "batch-commit";
     case Point::kVersionFold: return "version-fold";
+    case Point::kTxnLockStep: return "txn-lock-step";
     default: return "?";
   }
 }

@@ -127,6 +127,7 @@ enum class Counter : std::uint32_t {
   kTxnAborts,    // Txn::commit attempts that aborted (conflict/validation)
   kTxnLockFail,  // NO_WAIT lock-acquisition passes that failed
   kTxnRetries,   // transaction body re-executions by txn::run
+  kTxnLockHops,  // data chunks the lock pass stepped over laterally
 
   kCount
 };
@@ -189,6 +190,7 @@ inline constexpr std::array<std::string_view, kCounterCount> kCounterNames = {
     "txn_aborts",
     "txn_lock_fail",
     "txn_retries",
+    "txn_lock_hops",
 };
 
 inline constexpr std::string_view counter_name(Counter c) noexcept {

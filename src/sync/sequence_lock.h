@@ -71,6 +71,13 @@ class SequenceLock {
     return w;
   }
 
+  // read_begin() without the wait: the current word, whose locked bit is
+  // set while a writer holds the lock (the caller must then not read on).
+  // For callers that hold other locks, where waiting could deadlock.
+  Word read_begin_no_wait() const noexcept {
+    return word_.load(std::memory_order_acquire);
+  }
+
   // The paper's "verify": true iff the word is still exactly `observed`.
   // Must be called after the relaxed payload reads it guards.
   bool validate(Word observed) const noexcept {

@@ -8,10 +8,12 @@
 // Protocol summary (2PLSF direction, NO_WAIT flavor):
 //   - Growing phase: the floor data chunk of every accessed key is
 //     write-locked in ascending key order -- a global acquisition order, so
-//     two passes can never deadlock. The first key descends the tower
-//     (MapAccess::lock_floor_descent); later keys walk laterally from the
-//     last held lock (MapAccess::lock_floor_from), and that walk NEVER
-//     blocks: any locked or frozen word it meets aborts the whole pass.
+//     two passes can never deadlock. A key steps at most kMaxLockHops
+//     chunks right from the last held lock (MapAccess::lock_floor_from);
+//     past that, or at a chunk it cannot read, it is re-sought through the
+//     index (MapAccess::lock_floor_descent, also used for the first key),
+//     so a pass costs O(keys * log n). Nothing ever waits: a locked word
+//     on the seek path, or a locked or frozen floor chunk, aborts the pass.
 //   - Validation: optimistic reads (Txn's read set) are re-checked against
 //     the locked chunks; a mismatch aborts before anything mutates.
 //   - Commit: ONE commit version is reserved for the whole write set;
@@ -89,7 +91,22 @@ struct MapAccess {
     return m.as_data(chunk)->vec.get(k);
   }
 
-  // ---- Lock acquisition (the extracted 2PL growing-phase primitives) -----
+  // ---- Lock acquisition (the 2PL growing-phase primitives) ---------------
+
+  using Trav = typename Map::Trav;
+
+  // How a floor search for one key ended.
+  enum class Seek : std::uint8_t {
+    kLocked,  // *out is k's floor chunk, write-locked by this pass
+    kReseek,  // the bounded step gave up: seek k through the index instead
+    kAbort,   // NO_WAIT conflict or transient state: abort the pass
+  };
+
+  // Chunks the step from the last held lock may cross before the key is
+  // re-sought from the head. A descent costs a few hops: a key one or two
+  // chunks on is cheaper to step to, while a spread key wastes at most
+  // these hops before its seek (and an unbounded walk costs O(key span)).
+  static constexpr std::uint32_t kMaxLockHops = 2;
 
   // True when `k` still belongs to locked chunk `c` (no better floor to its
   // right). c's lock pins its successor; a successor's minimum never
@@ -101,90 +118,137 @@ struct MapAccess {
     return sz > 0 && k < m.node_min_key(next);
   }
 
-  // Full speculative descent to the data-layer floor chunk for k, then a
-  // no-wait write-lock. Used for the pass's first key (no locks held, so
-  // blocking reads inside the shared traversal are safe).
-  static bool lock_floor_descent(Map& m, Ctx& ctx, K k, Node** out) {
-    typename Map::Trav t = m.begin_traversal(ctx);
-    while (t.node->layer > 0) {
-      if (!m.traverse_right(ctx, t, k, /*mutator=*/false)) return false;
-      Node* down = nullptr;
-      bool exact = false;
-      if (!m.index_down(t, k, &down, &exact)) return false;
-      if (!m.exchange_down(ctx, t, down)) return false;
-    }
-    if (!m.traverse_right(ctx, t, k, /*mutator=*/false)) return false;
-    if (!t.node->lock.try_upgrade(t.ver)) return false;
-    *out = t.node;
-    return true;
+  // The traversal position of a chunk this pass holds: its lock pins it,
+  // so it needs no hazard slot, and its word validates until release.
+  static Trav held_at(Node* n) noexcept {
+    return Trav{n, n->lock.load_relaxed(), 0};
   }
 
-  // Lateral no-wait walk from an already-locked chunk to the floor chunk
-  // for a later (larger) key. NEVER blocks: while holding locks, waiting on
-  // another thread's lock (even a read_begin spin) could deadlock two
-  // passes against each other, so any held word aborts. Empty chunks
-  // (demoted or drained, awaiting an orphan merge) hold no floor candidate
-  // and are hopped over rather than aborted on: an empty chunk that no
-  // descent happens to cross would otherwise wedge every pass whose key
-  // span crosses it. When only empty chunks separate `from` from the first
-  // chunk with min > k, the floor is `from` itself, returned (still locked)
-  // in *out -- the caller must not re-push it.
-  static bool lock_floor_from(Map& m, Ctx& ctx, Node* from, K k, Node** out) {
-    // `best`: rightmost non-empty chunk seen with min <= k. It stays
-    // hazard-protected in slot 2 while the walk probes further; the final
-    // try_upgrade(best_ver) rejects any change since it was examined.
-    Node* best = from;
-    Word best_ver = 0;
-    Node* node = from->next.load(std::memory_order_acquire);
-    if (node == nullptr) {
-      *out = from;  // nothing right of from: it is the floor
-      return true;
+  // NO_WAIT seek for k's floor chunk, used for a pass's first key and for
+  // every re-seek. The index descent is the map's own traversal in no-wait
+  // mode: a locked index node aborts the pass (the pass may hold locks, so
+  // it must not wait), frozen ones stay readable. From the data chunk the
+  // index routes to, lock_floor_from walks the orphan run to k's floor.
+  // If the routed chunk is one this pass holds (k's floor is in an orphan
+  // run that an earlier key's floor already entered), the walk starts from
+  // the last held lock instead, which is at or left of k's floor: aborting
+  // on our own lock would repeat on every retry.
+  static Seek lock_floor_descent(Map& m, Ctx& ctx,
+                                 const std::vector<Node*>& held, K k,
+                                 Node** out) {
+    const auto from_last_lock = [&] {
+      return lock_floor_from(m, ctx, held, held_at(held.back()), k,
+                             /*bounded=*/false, out);
+    };
+    // Without index layers every key routes to the head data chunk.
+    if (m.head_->layer == 0 && !held.empty()) return from_last_lock();
+    Trav t = m.template begin_traversal<true>(ctx);
+    if (t.node == nullptr) return Seek::kAbort;
+    while (t.node->layer > 0) {
+      if (!m.template traverse_right<true>(ctx, t, k, /*mutator=*/false)) {
+        return Seek::kAbort;
+      }
+      Node* down = nullptr;
+      bool exact = false;
+      if (!m.index_down(t, k, &down, &exact)) return Seek::kAbort;
+      if (t.node->layer == 1 &&
+          std::find(held.begin(), held.end(), down) != held.end()) {
+        return from_last_lock();
+      }
+      if (!m.template exchange_down<true>(ctx, t, down)) return Seek::kAbort;
     }
-    int slot = 0;
-    ctx.protect(slot, node);  // linked: from's held lock pins it
-    Word ver = node->lock.load_relaxed();
-    if (Lock::is_locked(ver) || Lock::is_frozen(ver)) return false;
-    std::atomic_thread_fence(std::memory_order_acquire);
+    return lock_floor_from(m, ctx, held, t, k, /*bounded=*/false, out);
+  }
+
+  // Walks the data layer right from `at` -- the last held lock, or the
+  // chunk a descent routed to -- to k's floor chunk and write-locks it
+  // without waiting. Each step re-validates the chunk it leaves after
+  // reading the successor's word, as traverse_right does: a merge that
+  // retired the successor in between has bumped that chunk, whereas the
+  // retired chunk's own word never changes again and would validate,
+  // leading the walk onto its retired_next() sentinel. Empty chunks
+  // (demoted or drained, awaiting an orphan merge) are hopped over rather
+  // than aborted on: an empty chunk that no point operation happens to
+  // cross would otherwise wedge every pass whose keys straddle it. Frozen
+  // chunks are read like any other; only locking a frozen floor fails.
+  //
+  // A locked successor is not needed when k lies inside the chunk the
+  // walk stands on. Otherwise, bounded (the step from the last held lock):
+  // after kMaxLockHops hops, or at a chunk that is locked or changes under
+  // the walk, return kReseek -- the pass may not even need that chunk.
+  // Unbounded (after a seek): the walk is on the orphan run below the
+  // routed chunk, and such a chunk aborts the pass, unless the pass holds
+  // it, in which case the walk goes on from the last held lock.
+  static Seek lock_floor_from(Map& m, Ctx& ctx, const std::vector<Node*>& held,
+                              Trav at, K k, bool bounded, Node** out) {
+    std::uint32_t hops = 0;
+    const auto done = [&](Seek s) {
+      stats::count(stats::Counter::kTxnLockHops, hops);
+      return s;
+    };
+    const Seek fail = bounded ? Seek::kReseek : Seek::kAbort;
+    // `best`: k's floor so far -- the start, or the rightmost non-empty
+    // chunk stepped onto (whose min is <= k). Its word is the locked one
+    // iff the pass holds it. Hazard slot 2 keeps it while the walk probes
+    // further; the final try_upgrade(best_ver) rejects any change since.
+    Node* best = at.node;
+    Word best_ver = at.ver;
+    ctx.protect(2, best);
+    std::uint32_t sz = m.node_size(at.node);  // sz > 0: at.node is best
     for (;;) {
-      const std::uint32_t sz = m.node_size(node);
-      if (sz > 0) {
-        if (k < m.node_min_key(node)) {
-          // Validate the basis for stopping before trusting it.
-          if (!node->lock.validate(ver)) return false;
+      Node* next = at.node->next.load(std::memory_order_acquire);
+      if (next == nullptr) {
+        // Validate "at.node is last" before letting it settle the floor.
+        if (!at.node->lock.validate(at.ver)) return done(fail);
+        break;
+      }
+      const int nslot = Map::other_slot(at.slot);
+      ctx.protect(nslot, next);
+      // at.node unchanged: next is its successor, protected before any
+      // merge could retire it.
+      if (!at.node->lock.validate(at.ver)) return done(fail);
+      SV_FAULT_POINT(debug::Point::kTxnLockStep);
+      const Word nver = next->lock.read_begin_no_wait();
+      if (Lock::is_locked(nver)) {
+        // k inside best's range: best is the floor, next is not needed.
+        if (sz > 0 && !(m.node_max_key(at.node) < k) &&
+            at.node->lock.validate(at.ver)) {
           break;
         }
-        best = node;
-        best_ver = ver;
-        ctx.protect(2, node);
-        if (!node->lock.validate(ver)) return false;
+        if (bounded ||
+            std::find(held.begin(), held.end(), next) == held.end()) {
+          return done(fail);
+        }
+        at = held_at(held.back());
+        best = at.node;
+        best_ver = at.ver;
+        sz = m.node_size(at.node);
+        continue;
       }
-      Node* next = node->next.load(std::memory_order_acquire);
-      if (next == nullptr) {
-        // Validate before trusting "node is last AND its min > k or it
-        // is empty" -- an unvalidated read must not settle the floor.
-        if (!node->lock.validate(ver)) return false;
-        break;  // best (or from) is the floor
+      // Re-validate: next was still linked when nver was read.
+      if (!at.node->lock.validate(at.ver)) return done(fail);
+      const std::uint32_t nsz = m.node_size(next);
+      if (nsz > 0 && k < m.node_min_key(next)) {
+        // Validate the basis for stopping before trusting it.
+        if (!next->lock.validate(nver)) return done(fail);
+        break;
       }
-      const int nslot = m.other_slot(slot);
-      ctx.protect(nslot, next);
-      // Covers the sz/min reads above and the next read: node unchanged,
-      // so next is node's real successor (never the retired sentinel).
-      if (!node->lock.validate(ver)) return false;
-      const Word nver = next->lock.load_relaxed();
-      if (Lock::is_locked(nver) || Lock::is_frozen(nver)) return false;
-      std::atomic_thread_fence(std::memory_order_acquire);
-      ctx.drop(slot);
-      node = next;
-      ver = nver;
-      slot = nslot;
+      if (bounded && hops == kMaxLockHops) return done(Seek::kReseek);
+      ctx.drop(at.slot);
+      at = Trav{next, nver, nslot};
+      sz = nsz;
+      ++hops;
+      if (sz > 0) {
+        best = next;
+        best_ver = nver;
+        ctx.protect(2, next);
+      }
     }
-    if (best == from) {
-      *out = from;
-      return true;
+    if (!Lock::is_locked(best_ver) && !best->lock.try_upgrade(best_ver)) {
+      return done(fail);
     }
-    if (!best->lock.try_upgrade(best_ver)) return false;
     *out = best;
-    return true;
+    return done(Seek::kLocked);
   }
 
   // ---- Commit-path map primitives ----------------------------------------
@@ -328,25 +392,30 @@ struct LockMgr {
       return res;
     };
 
-    // Lock k's floor chunk unless the last held lock already covers it.
+    // Lock k's floor chunk unless the last held lock already covers it:
+    // a short step from the last held lock, else a seek through the index.
     // Returns false on a NO_WAIT conflict or a transient floor state.
     auto ensure_locked = [&](K k) -> bool {
       if (!locked.empty() && MA::covers(m, locked.back(), k)) return true;
       Node* chunk = nullptr;
-      const bool ok = locked.empty()
-                          ? MA::lock_floor_descent(m, ctx, k, &chunk)
-                          : MA::lock_floor_from(m, ctx, locked.back(), k,
-                                                &chunk);
-      if (!ok) return false;
+      auto s = MA::Seek::kReseek;
+      if (!locked.empty()) {
+        s = MA::lock_floor_from(m, ctx, locked, MA::held_at(locked.back()),
+                                k, /*bounded=*/true, &chunk);
+      }
+      if (s == MA::Seek::kReseek) {
+        s = MA::lock_floor_descent(m, ctx, locked, k, &chunk);
+      }
+      if (s != MA::Seek::kLocked) return false;
       if (locked.empty() || chunk != locked.back()) {
         locks.push(chunk);
         runs.emplace_back(kNoRun, kNoRun);
         // Verify floor-ness under the lock: a non-head floor chunk must
         // hold a minimum <= k (otherwise a put would break the index
         // entry's min invariant; transient states abort instead). When
-        // the lateral walk settled back on the already-locked chunk
-        // (only empty chunks up to the first min > k), it passed this
-        // for an earlier, smaller key, so min <= k holds a fortiori.
+        // the search settled back on the last held lock (only empty
+        // chunks up to the first min > k), it passed this for an
+        // earlier, smaller key, so min <= k holds a fortiori.
         if (!chunk->is_head &&
             (MA::size(m, chunk) == 0 || k < MA::min_key(m, chunk))) {
           return false;

@@ -4,8 +4,12 @@
 // towered-remove demote path, the run() retry helper, and the transaction
 // counters. Concurrency tests pin the serializability story: lost-update
 // freedom for RMW increments and conserved totals for multi-key transfers.
+// Lock-pass tests pin which chunks may abort a commit, that its cost grows
+// with the number of keys rather than their span, and (by fault injection)
+// that a successor merged away mid-step is never entered.
 #include <gtest/gtest.h>
 
+#include <array>
 #include <atomic>
 #include <cstdint>
 #include <optional>
@@ -14,6 +18,8 @@
 
 #include "common/rng.h"
 #include "core/skip_vector.h"
+#include "dbx/ycsb.h"
+#include "debug/fault_inject.h"
 #include "txn/txn.h"
 
 namespace sv::core {
@@ -389,6 +395,187 @@ TEST(TxnSnapshots, PinnedSnapshotInvisibleToLaterTxn) {
     live_sum += v;
   });
   EXPECT_EQ(live_sum, 34u);  // 16 * 2 + 2
+}
+
+// ---- Lock pass -------------------------------------------------------------
+
+using MA = txn::MapAccess<Map>;
+using Chunk = MA::Node;
+
+// Write-locks k's floor chunk the way another pass would hold it.
+Chunk* HoldFloor(Map& m, std::uint64_t k) {
+  txn::OpScope<Map> scope(m);
+  Chunk* c = nullptr;
+  EXPECT_EQ(MA::lock_floor_descent(m, scope.ctx(), {}, k, &c),
+            MA::Seek::kLocked);
+  scope.ctx().drop_all();
+  return c;
+}
+
+// A lock on a chunk strictly between a transaction's keys -- whether the
+// step from the last held lock meets it or a re-seek skips it -- must not
+// abort the commit; a lock on the floor chunk of an accessed key must.
+TEST(TxnLockPass, OnlyNeededChunksAbort) {
+  constexpr std::uint64_t kRows = 4096;
+  Map m(Config::for_elements(kRows));
+  for (std::uint64_t k = 0; k < kRows; ++k) ASSERT_TRUE(m.insert(k, 0));
+  constexpr std::uint64_t kFirst = 10;
+  constexpr std::uint64_t kLast = 4000;
+
+  // The chunk right after kFirst's floor, then one far from both keys.
+  Chunk* first_floor = HoldFloor(m, kFirst);
+  ASSERT_NE(first_floor, nullptr);
+  Chunk* after = first_floor->next.load(std::memory_order_acquire);
+  ASSERT_NE(after, nullptr);
+  const std::uint64_t next_min = MA::min_key(m, after);
+  first_floor->lock.release();
+
+  for (const std::uint64_t between : {next_min, kRows / 2}) {
+    ASSERT_GT(between, kFirst);
+    ASSERT_LT(between, kLast);
+    Chunk* held = HoldFloor(m, between);
+    ASSERT_NE(held, nullptr);
+    ASSERT_FALSE(MA::covers(m, held, kLast)) << "keys must span chunks";
+    {
+      Txn t(m);
+      ASSERT_EQ(t.get(kFirst), std::optional<std::uint64_t>(0));
+      t.put(kLast, between);
+      EXPECT_EQ(t.commit(), TxnResult::kCommitted) << "held " << between;
+    }
+    {
+      // The held chunk is now needed: NO_WAIT must give up.
+      Txn t(m);
+      ASSERT_EQ(t.get(kFirst), std::optional<std::uint64_t>(0));
+      t.put(between, 1);
+      t.put(kLast, 1);
+      EXPECT_EQ(t.commit(), TxnResult::kLockConflict) << "held " << between;
+    }
+    held->lock.release();
+    EXPECT_EQ(m.lookup(kLast), std::optional<std::uint64_t>(between));
+    EXPECT_EQ(m.lookup(between), std::optional<std::uint64_t>(0));
+  }
+  std::string err;
+  EXPECT_TRUE(m.validate(&err)) << err;
+}
+
+// Sequential loads leave runs of orphan chunks (capacity splits with no
+// index entry) that a re-seek must walk. Spread 16-key transactions must
+// still cross only a bounded number of chunks per key, independent of the
+// table size (a walk from key to key crosses ~140 per key at 2^16 rows),
+// and single-threaded they never conflict: every pass commits first time.
+TEST(TxnLockPass, HopsPerKeyIndependentOfTableSize) {
+  for (const std::uint64_t rows : {std::uint64_t{1} << 16,
+                                   std::uint64_t{1} << 18}) {
+    Map m(Config::for_elements(rows));
+    for (std::uint64_t k = 0; k < rows; ++k) ASSERT_TRUE(m.insert(k, 0));
+    dbx::YcsbConfig cfg;
+    cfg.table_rows = rows;
+    cfg.zipf_theta = 0.1;
+    cfg.accesses_per_txn = 16;
+    dbx::YcsbGenerator gen(cfg, 12345);
+    dbx::TxnRequest req;
+    const std::uint64_t hops_before = counter(m, stats::Counter::kTxnLockHops);
+    std::uint64_t keys = 0;
+    for (int n = 0; n < 1000; ++n) {
+      gen.next(&req);
+      Txn t(m);
+      for (std::uint32_t i = 0; i < req.count; ++i) {
+        const auto v = t.get(req.accesses[i].key);
+        ASSERT_TRUE(v.has_value());
+        if (req.accesses[i].is_write) t.put(req.accesses[i].key, *v + 1);
+      }
+      keys += req.count;
+      ASSERT_EQ(t.commit(), TxnResult::kCommitted) << rows << " rows, #" << n;
+    }
+    EXPECT_EQ(counter(m, stats::Counter::kTxnAborts), 0u);
+    EXPECT_EQ(counter(m, stats::Counter::kTxnLockFail), 0u);
+    const double hops_per_key =
+        static_cast<double>(counter(m, stats::Counter::kTxnLockHops) -
+                            hops_before) /
+        static_cast<double>(keys);
+    EXPECT_LT(hops_per_key, 2.0 * MA::kMaxLockHops) << rows << " rows";
+  }
+}
+
+// With no index layers a re-seek can only route to the head data chunk,
+// which the pass often holds already: it must walk on from its last lock.
+TEST(TxnLockPass, SingleLayerMapCommits) {
+  Config c;
+  c.layer_count = 1;
+  c.target_data_vector_size = 4;
+  Map m(c);
+  for (std::uint64_t k = 0; k < 256; ++k) ASSERT_TRUE(m.insert(k, 0));
+  for (std::uint64_t first = 0; first < 8; ++first) {
+    Txn t(m);
+    for (std::uint64_t k = first; k < 256; k += 50) t.put(k, first + 1);
+    ASSERT_EQ(t.commit(), TxnResult::kCommitted) << "first key " << first;
+  }
+  EXPECT_EQ(m.lookup(7), std::optional<std::uint64_t>(8));
+  EXPECT_EQ(m.lookup(250), std::optional<std::uint64_t>(1));
+  std::string err;
+  EXPECT_TRUE(m.validate(&err)) << err;
+}
+
+// ---- Fault injection -------------------------------------------------------
+
+using debug::FaultInjector;
+using debug::Point;
+
+// A merge retires the successor of the chunk the lock pass stands on
+// between the step's validation of that chunk and its read of the
+// successor's word. The retired chunk's word never changes again, so only
+// re-validating the chunk the walk stands on keeps the walk (and the
+// commit) off it: entering it would follow its retired_next() sentinel or
+// lock a chunk no reader will ever see again.
+TEST(TxnInjection, SuccessorMergedMidStep) {
+  Config c;
+  c.layer_count = 2;
+  c.target_data_vector_size = 4;  // capacity 8, merge threshold 7
+  c.target_index_vector_size = 4;
+  using HitSnapshot =
+      std::array<std::uint64_t, static_cast<std::size_t>(Point::kCount)>;
+  auto run_once = [&] {
+    Map m(c);
+    // Shape: head chunk {10,20,30,40}; towered chunk A {50,55}; orphan X
+    // {65} (removing 60 stripped its tower and left X awaiting a merge).
+    for (std::uint64_t k : {10, 20, 30, 40}) {
+      EXPECT_TRUE(m.insert_with_height(k, k, 0));
+    }
+    EXPECT_TRUE(m.insert_with_height(50, 50, 1));
+    EXPECT_TRUE(m.insert_with_height(55, 55, 0));
+    EXPECT_TRUE(m.insert_with_height(60, 60, 1));
+    EXPECT_TRUE(m.insert_with_height(65, 65, 0));
+    EXPECT_TRUE(m.remove(60));
+    EXPECT_EQ(m.counters().orphan_merges, 0u);
+
+    // The pass locks the head chunk for 10 after reading A's minimum (hit
+    // 1). For 65 it steps head -> A (hit 2) and reads X (hit 3). At hit 3
+    // a mutator whose descent routes straight to A merges X into A,
+    // retiring X.
+    FaultInjector::instance().set_handler([&](Point p, std::uint64_t hit) {
+      if (p != Point::kTxnLockStep || hit != 3) return;
+      std::thread merger(
+          [&] { EXPECT_TRUE(m.insert_with_height(66, 66, 0)); });
+      merger.join();
+    });
+    Txn t(m);
+    EXPECT_EQ(t.get(10), std::optional<std::uint64_t>(10));
+    t.put(65, 650);
+    EXPECT_EQ(t.commit(), TxnResult::kCommitted);
+    const HitSnapshot snap = FaultInjector::instance().hit_snapshot();
+    FaultInjector::instance().clear();
+
+    EXPECT_EQ(snap[static_cast<std::size_t>(Point::kTxnLockStep)], 3u);
+    EXPECT_EQ(m.counters().orphan_merges, 1u);
+    EXPECT_EQ(m.lookup(65), std::optional<std::uint64_t>(650));
+    EXPECT_EQ(m.lookup(66), std::optional<std::uint64_t>(66));
+    const auto rep = m.validate_structure();
+    EXPECT_TRUE(rep.ok()) << rep.to_string();
+    return snap;
+  };
+  const HitSnapshot a = run_once();
+  const HitSnapshot b = run_once();
+  EXPECT_EQ(a, b) << "the interleaving must replay with an identical trace";
 }
 
 }  // namespace
