@@ -7,9 +7,9 @@
 //
 // Extension: a three-way sweep (static sorted data, static unsorted data,
 // adaptive) over two mixes where the static choices diverge. Scan-heavy
-// punishes unsorted data chunks hard (ordered iteration sorts each chunk
-// per visit), so adaptive starts unsorted and must earn its way back to
-// sorted at split/merge time. Write-heavy starts adaptive from sorted:
+// punishes unsorted data chunks hard (a range visit sorts the in-range
+// pairs of each chunk), so adaptive starts unsorted and must earn its way
+// back to sorted at split/merge time. Write-heavy starts adaptive from sorted:
 // under real multi-core contention that is the layout the paper's policy
 // flips away from (shorter unsorted write sections), while uncontended the
 // contention gate (adapt::Policy::contended_writes_per_retry) holds it --

@@ -486,15 +486,8 @@ class SkipVectorMap {
   std::size_t range_for_each(K lo, K hi, Fn&& fn) {
     return range_locked(lo, hi, /*mutating=*/false,
                         [&](DataNode* n) -> std::size_t {
-      std::size_t visited = 0;
-      n->vec.for_each_ordered([&](K k, V v) {
-        if (k >= lo && k <= hi) {
-          fn(k, v);
-          ++visited;
-        }
-      });
-      return visited;
-    });
+                          return n->vec.for_each_ordered(lo, hi, fn);
+                        });
   }
 
   // Non-atomic bulk erase: removes every mapping in [lo, hi] one key at a
@@ -2419,7 +2412,11 @@ class SkipVectorMap {
     if (!t.node->lock.try_upgrade(t.ver)) return false;
     // Growing phase: extend right while the range may continue. While we
     // hold a node's write lock its successor cannot be unlinked, so the
-    // plain next walk is safe without hazard pointers.
+    // plain next walk is safe without hazard pointers. The successor's
+    // bounds are read in a read section: a writer rewriting it under its
+    // lock (a commit midway through {remove(m), put(m')}) can show a
+    // minimum larger than in any committed state. Waiting for it is fine,
+    // as this phase already blocks in acquire().
     std::vector<NodeBase*> locked;
     locked.push_back(t.node);
     ctx.drop_all();
@@ -2427,11 +2424,16 @@ class SkipVectorMap {
       NodeBase* last = locked.back();
       NodeBase* next = last->next.load(std::memory_order_acquire);
       if (next == nullptr) break;
-      const std::uint32_t nsz = node_size(next);
-      if (nsz > 0 && node_min_key(next) > hi) break;
+      bool beyond = false;
+      for (;;) {
+        const Word w = next->lock.read_begin();
+        beyond = node_size(next) > 0 && node_min_key(next) > hi;
+        if (next->lock.validate(w)) break;
+      }
+      if (beyond) break;
       next->lock.acquire();
       locked.push_back(next);
-      if (nsz > 0 && node_max_key(next) > hi) break;
+      if (node_size(next) > 0 && node_max_key(next) > hi) break;
     }
     if (mutating) {
       // One commit version covers the whole locked range: the transform is

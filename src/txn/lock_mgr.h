@@ -111,11 +111,18 @@ struct MapAccess {
   // True when `k` still belongs to locked chunk `c` (no better floor to its
   // right). c's lock pins its successor; a successor's minimum never
   // decreases, so a positive answer stays valid while we hold the lock.
+  // The successor is read in a read section that does not wait: a writer
+  // rewriting it under its lock can show a minimum larger than in any
+  // committed state, so a locked or changed successor answers "not
+  // covered" and lock_floor_from, which handles a locked successor,
+  // decides.
   static bool covers(Map& m, Node* c, K k) {
     Node* next = c->next.load(std::memory_order_acquire);
     if (next == nullptr) return true;
-    const std::uint32_t sz = m.node_size(next);
-    return sz > 0 && k < m.node_min_key(next);
+    const Word w = next->lock.read_begin_no_wait();
+    if (Lock::is_locked(w)) return false;
+    const bool below = m.node_size(next) > 0 && k < m.node_min_key(next);
+    return below && next->lock.validate(w);
   }
 
   // The traversal position of a chunk this pass holds: its lock pins it,

@@ -379,23 +379,41 @@ class VectorMap {
     return visited;
   }
 
-  // Quiescent iteration in ascending key order (used by range queries under
-  // write locks, validation, and iteration APIs).
+  // Writer-context (or quiescent) visit of the mappings with key in
+  // [lo, hi], in ascending key order (none when hi < lo); returns how many
+  // were visited. Reads only the keys in range: a sorted chunk starts at
+  // lo's lower bound and stops at the first key above hi, an unsorted one
+  // sorts just its in-range pairs.
+  template <class Fn>
+  std::uint32_t for_each_ordered(K lo, K hi, Fn&& fn) const {
+    const std::uint32_t n = size();
+    if (hi < lo) return 0;
+    if (sorted()) {
+      const std::uint32_t first = sorted_lower_bound(n, lo);
+      std::uint32_t i = first;
+      for (; i < n; ++i) {
+        const K k = load_key(i);
+        if (hi < k) break;
+        fn(k, load_val(i));
+      }
+      return i - first;
+    }
+    thread_local std::vector<std::pair<K, V>> in_range;
+    in_range.clear();
+    for (std::uint32_t i = 0; i < n; ++i) {
+      const K k = load_key(i);
+      if (!(k < lo) && !(hi < k)) in_range.emplace_back(k, load_val(i));
+    }
+    std::sort(in_range.begin(), in_range.end(),
+              [](const auto& a, const auto& b) { return a.first < b.first; });
+    for (const auto& [k, v] : in_range) fn(k, v);
+    return static_cast<std::uint32_t>(in_range.size());
+  }
+
+  // The whole chunk in ascending key order (iteration APIs, validation).
   template <class Fn>
   void for_each_ordered(Fn&& fn) const {
-    const std::uint32_t n = size();
-    if (sorted()) {
-      for (std::uint32_t i = 0; i < n; ++i) fn(load_key(i), load_val(i));
-    } else {
-      thread_local std::vector<std::uint32_t> order;
-      order.clear();
-      for (std::uint32_t i = 0; i < n; ++i) order.push_back(i);
-      std::sort(order.begin(), order.end(),
-                [this](std::uint32_t a, std::uint32_t b) {
-                  return load_key(a) < load_key(b);
-                });
-      for (std::uint32_t i : order) fn(load_key(i), load_val(i));
-    }
+    if (!empty()) for_each_ordered(min_key(), max_key(), fn);
   }
 
  private:

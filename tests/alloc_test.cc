@@ -292,12 +292,20 @@ TEST(PoolNodeAllocator, CrossThreadAllocHereFreeThere) {
       for (int i = 0; i < kPerProducer; ++i) {
         void* p = pool.allocate(kBytes);
         std::memset(p, static_cast<int>(rng.next_below(256)), kBytes);
+        // Count under the mutex, so no consumer can check the predicate
+        // between the count and the wake-up, and wake every consumer
+        // after the last block: each must see that production ended.
+        bool last = false;
         {
           std::lock_guard<std::mutex> lk(mu);
           queue.push_back(p);
+          last = produced.fetch_add(1) + 1 == kProducers * kPerProducer;
         }
-        produced.fetch_add(1);
-        cv.notify_one();
+        if (last) {
+          cv.notify_all();
+        } else {
+          cv.notify_one();
+        }
       }
     });
   }
@@ -320,7 +328,6 @@ TEST(PoolNodeAllocator, CrossThreadAllocHereFreeThere) {
     });
   }
   for (auto& th : threads) th.join();
-  cv.notify_all();
   EXPECT_TRUE(queue.empty());
   const AllocatorStats s = pool.stats();
   EXPECT_EQ(s.live_bytes, 0u);

@@ -1,7 +1,7 @@
 // Concurrent correctness tests for SkipVectorMap: multi-threaded stress with
 // value tagging (torn-read detection), disjoint-partition oracles, contended
 // insert/remove accounting, hazard-pointer reclamation bounds, and range
-// query serializability.
+// query serializability, including against a chunk rewritten under its lock.
 #include <gtest/gtest.h>
 
 #include <array>
@@ -17,6 +17,7 @@
 #include "common/rng.h"
 #include "core/skip_vector.h"
 #include "debug/fault_inject.h"
+#include "txn/lock_mgr.h"
 
 namespace sv::core {
 namespace {
@@ -432,38 +433,47 @@ TEST(SkipVectorConcurrent, RangeQueriesDuringStructuralChurn) {
 }
 
 TEST(SkipVectorConcurrent, SortedSortedLayoutUnderStress) {
-  // Fig. 7b's alternative layouts must be just as correct.
-  Config cfg = SmallChunks();
-  cfg.index_layout = Layout::kUnsorted;
-  cfg.data_layout = Layout::kSorted;
-  SkipVectorMap<std::uint64_t, std::uint64_t, reclaim::HazardReclaimer> m(cfg);
-  const unsigned kThreads = StressThreads();
-  std::vector<std::thread> threads;
-  for (unsigned t = 0; t < kThreads; ++t) {
-    threads.emplace_back([&, t] {
-      Xoshiro256 rng(64 + t);
-      for (std::uint64_t i = 0; i < 30000; ++i) {
-        const std::uint64_t k = rng.next_below(200);
-        switch (rng.next_below(3)) {
-          case 0:
-            m.insert(k, TagFor(k, i));
-            break;
-          case 1:
-            m.remove(k);
-            break;
-          default: {
-            auto v = m.lookup(k);
-            if (v) {
-              EXPECT_EQ(*v >> 32, k);
+  // Fig. 7b's alternative layouts must be just as correct as the default
+  // sorted/sorted: unsorted index chunks, and the paper's unsorted data
+  // chunks.
+  for (const auto& [index, data] :
+       {std::pair{Layout::kUnsorted, Layout::kSorted},
+        std::pair{Layout::kSorted, Layout::kUnsorted}}) {
+    SCOPED_TRACE(std::string(vectormap::layout_name(index)) + "/" +
+                 vectormap::layout_name(data));
+    Config cfg = SmallChunks();
+    cfg.index_layout = index;
+    cfg.data_layout = data;
+    SkipVectorMap<std::uint64_t, std::uint64_t, reclaim::HazardReclaimer> m(
+        cfg);
+    const unsigned kThreads = StressThreads();
+    std::vector<std::thread> threads;
+    for (unsigned t = 0; t < kThreads; ++t) {
+      threads.emplace_back([&, t] {
+        Xoshiro256 rng(64 + t);
+        for (std::uint64_t i = 0; i < 30000; ++i) {
+          const std::uint64_t k = rng.next_below(200);
+          switch (rng.next_below(3)) {
+            case 0:
+              m.insert(k, TagFor(k, i));
+              break;
+            case 1:
+              m.remove(k);
+              break;
+            default: {
+              auto v = m.lookup(k);
+              if (v) {
+                EXPECT_EQ(*v >> 32, k);
+              }
             }
           }
         }
-      }
-    });
+      });
+    }
+    for (auto& th : threads) th.join();
+    std::string err;
+    EXPECT_TRUE(m.validate(&err)) << err;
   }
-  for (auto& th : threads) th.join();
-  std::string err;
-  EXPECT_TRUE(m.validate(&err)) << err;
 }
 
 // ---- Deterministic rare-interleaving scenarios (fault injection) -----------
@@ -669,6 +679,74 @@ TEST(SkipVectorInjection, ChurnUnderScheduleSweepStaysValid) {
     EXPECT_LT(k, kRange);
     EXPECT_EQ(v >> 32, k);
   });
+}
+
+// ---- A successor rewritten under its lock ----------------------------------
+
+// A range's growing phase reads the next chunk's minimum before locking it.
+// Here a lock pass holds that chunk, the orphan {282, 290} after the head
+// chunk {270, 280}, midway through the commit {remove(282), put(283)}: its
+// minimum reads 290, larger than in either committed state. A range that
+// trusted the read would return {280} although every committed state holds
+// 282 or 283; it must wait for the commit and return {280, 283}.
+TEST(SkipVectorConcurrent, RangeWaitsForSuccessorMidCommit) {
+  using MA = txn::MapAccess<MapHP>;
+  for (const Layout layout : {Layout::kSorted, Layout::kUnsorted}) {
+    SCOPED_TRACE(vectormap::layout_name(layout));
+    Config cfg = TwoLayer();
+    cfg.data_layout = layout;
+    MapHP m(cfg);
+    for (std::uint64_t k : {270, 280}) {
+      ASSERT_TRUE(m.insert_with_height(k, TagFor(k, 1), 0));
+    }
+    ASSERT_TRUE(m.insert_with_height(281, TagFor(281, 1), 1));
+    for (std::uint64_t k : {282, 290}) {
+      ASSERT_TRUE(m.insert_with_height(k, TagFor(k, 1), 0));
+    }
+    ASSERT_TRUE(m.remove(281));  // strips the tower: {282, 290} is an orphan
+    ASSERT_EQ(m.counters().orphan_merges, 0u);
+
+    MA::Node* orphan = nullptr;
+    {
+      txn::OpScope<MapHP> scope(m);
+      ASSERT_EQ(MA::lock_floor_descent(m, scope.ctx(), {}, 282, &orphan),
+                MA::Seek::kLocked);
+      scope.ctx().drop_all();
+    }
+    ASSERT_TRUE(MA::is_orphan(orphan));
+    std::array<MA::Op, 2> ops{MA::Op::remove(282),
+                              MA::Op::put(283, TagFor(283, 1))};
+    const std::vector<std::uint32_t> order{0, 1};
+    const std::uint64_t c = MA::version_reserve(m);
+    std::vector<MA::Node*> pieces;
+    std::size_t applied = 0;
+    std::int64_t delta = 0;
+    auto apply = [&](std::size_t i) {
+      MA::apply_chunk_ops(m, orphan, ops.data(), order, i, i + 1, c,
+                          MA::snapshots_active(m), pieces, applied, delta);
+    };
+    apply(0);  // remove(282)
+
+    std::atomic<bool> done{false};
+    std::vector<std::uint64_t> seen;
+    std::thread scanner([&] {
+      m.range_for_each(280, 283, [&](std::uint64_t k, std::uint64_t v) {
+        EXPECT_EQ(v, TagFor(k, 1));
+        seen.push_back(k);
+      });
+      done.store(true, std::memory_order_release);
+    });
+    std::this_thread::sleep_for(std::chrono::milliseconds(50));
+    EXPECT_FALSE(done.load(std::memory_order_acquire))
+        << "the range did not wait for the chunk being rewritten";
+    apply(1);  // put(283)
+    MA::note_size_delta(m, delta);
+    orphan->lock.release();
+    scanner.join();
+    EXPECT_EQ(seen, (std::vector<std::uint64_t>{280, 283}));
+    const auto rep = m.validate_structure();
+    EXPECT_TRUE(rep.ok()) << rep.to_string();
+  }
 }
 
 }  // namespace

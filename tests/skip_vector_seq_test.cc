@@ -8,6 +8,7 @@
 #include <map>
 #include <random>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "common/rng.h"
@@ -152,6 +153,7 @@ std::string GridName(const testing::TestParamInfo<GridParam>& info) {
 
 class SkipVectorGridTest : public testing::TestWithParam<GridParam> {
  protected:
+  // The grid point with the default layouts.
   Config MakeConfig() const {
     Config c;
     c.target_index_vector_size = GetParam().t_index;
@@ -161,15 +163,43 @@ class SkipVectorGridTest : public testing::TestWithParam<GridParam> {
     return c;
   }
 
-  // Random op stream vs oracle; checks result values, final contents, and
-  // structural invariants along the way.
-  template <Layout I, Layout D>
-  void RunModelCheck(std::uint64_t ops, std::uint64_t key_range,
-                     std::uint64_t seed) {
-    Seq<I, D> m(MakeConfig());
+  Config WithLayouts(Layout index, Layout data) const {
+    Config c = MakeConfig();
+    c.index_layout = index;
+    c.data_layout = data;
+    return c;
+  }
+
+  // Random op stream vs oracle; checks result values, range_for_each
+  // sequences, final contents, and structural invariants along the way.
+  void RunModelCheck(const Config& cfg, std::uint64_t ops,
+                     std::uint64_t key_range, std::uint64_t seed) {
+    SkipVectorMap<std::uint64_t, std::uint64_t, reclaim::ImmediateReclaimer> m(
+        cfg);
     std::map<std::uint64_t, std::uint64_t> oracle;
     Xoshiro256 rng(seed);
+    // Range bounds come from their own stream so the op stream depends on
+    // the seed alone; an eighth of them have lo > hi or span far.
+    Xoshiro256 range_rng(seed + 1);
     for (std::uint64_t i = 0; i < ops; ++i) {
+      if (i % 256 == 255) {
+        const std::uint64_t lo = range_rng.next_below(key_range);
+        const std::uint64_t hi =
+            range_rng.next_below(8) == 0
+                ? range_rng.next_below(key_range)
+                : lo + range_rng.next_below(key_range / 8 + 1);
+        std::vector<std::pair<std::uint64_t, std::uint64_t>> expect, got;
+        for (auto it = oracle.lower_bound(lo);
+             lo <= hi && it != oracle.end() && it->first <= hi; ++it) {
+          expect.push_back(*it);
+        }
+        const std::size_t visited = m.range_for_each(
+            lo, hi,
+            [&](std::uint64_t k, std::uint64_t v) { got.emplace_back(k, v); });
+        ASSERT_EQ(got, expect) << "range [" << lo << ", " << hi << "] @op "
+                               << i;
+        ASSERT_EQ(visited, expect.size());
+      }
       const std::uint64_t k = rng.next_below(key_range);
       switch (rng.next_below(4)) {
         case 0: {  // insert
@@ -226,23 +256,40 @@ class SkipVectorGridTest : public testing::TestWithParam<GridParam> {
 };
 
 TEST_P(SkipVectorGridTest, ModelCheckSortedIndexUnsortedData) {
-  RunModelCheck<Layout::kSorted, Layout::kUnsorted>(20000, 512, 42);
+  RunModelCheck(WithLayouts(Layout::kSorted, Layout::kUnsorted), 20000, 512,
+                42);
 }
 
 TEST_P(SkipVectorGridTest, ModelCheckSortedSorted) {
-  RunModelCheck<Layout::kSorted, Layout::kSorted>(12000, 512, 43);
+  RunModelCheck(WithLayouts(Layout::kSorted, Layout::kSorted), 12000, 512, 43);
 }
 
 TEST_P(SkipVectorGridTest, ModelCheckUnsortedUnsorted) {
-  RunModelCheck<Layout::kUnsorted, Layout::kUnsorted>(12000, 512, 44);
+  RunModelCheck(WithLayouts(Layout::kUnsorted, Layout::kUnsorted), 12000, 512,
+                44);
 }
 
 TEST_P(SkipVectorGridTest, ModelCheckUnsortedIndexSortedData) {
-  RunModelCheck<Layout::kUnsorted, Layout::kSorted>(12000, 512, 45);
+  RunModelCheck(WithLayouts(Layout::kUnsorted, Layout::kSorted), 12000, 512,
+                45);
 }
 
 TEST_P(SkipVectorGridTest, ModelCheckWideKeyRange) {
-  RunModelCheck<Layout::kSorted, Layout::kUnsorted>(8000, 1u << 30, 46);
+  RunModelCheck(WithLayouts(Layout::kSorted, Layout::kUnsorted), 8000,
+                1u << 30, 46);
+}
+
+// The default config and the paper's unsorted data chunks run the same op
+// stream and range bounds, so range_for_each must return the same (oracle)
+// sequence under both.
+TEST_P(SkipVectorGridTest, ModelCheckDefaultConfig) {
+  RunModelCheck(MakeConfig(), 12000, 512, 47);
+}
+
+TEST_P(SkipVectorGridTest, ModelCheckDefaultConfigUnsortedData) {
+  Config c = MakeConfig();
+  c.data_layout = Layout::kUnsorted;
+  RunModelCheck(c, 12000, 512, 47);
 }
 
 INSTANTIATE_TEST_SUITE_P(

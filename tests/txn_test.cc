@@ -5,8 +5,9 @@
 // counters. Concurrency tests pin the serializability story: lost-update
 // freedom for RMW increments and conserved totals for multi-key transfers.
 // Lock-pass tests pin which chunks may abort a commit, that its cost grows
-// with the number of keys rather than their span, and (by fault injection)
-// that a successor merged away mid-step is never entered.
+// with the number of keys rather than their span, that a successor another
+// commit is rewriting never counts as covering a key, and (by fault
+// injection) that a successor merged away mid-step is never entered.
 #include <gtest/gtest.h>
 
 #include <array>
@@ -514,6 +515,70 @@ TEST(TxnLockPass, SingleLayerMapCommits) {
   EXPECT_EQ(m.lookup(250), std::optional<std::uint64_t>(1));
   std::string err;
   EXPECT_TRUE(m.validate(&err)) << err;
+}
+
+// The last held lock covers a key only if its successor's minimum is read
+// consistently. Here a lock pass holds the orphan {282, 290} after the head
+// chunk {270, 280} midway through the commit {remove(282), put(283)}: its
+// minimum reads 290, larger than in either committed state. Trusting that
+// read would place 283 in the head chunk while the other commit puts a
+// second 283 into the orphan. While the orphan is held the transaction must
+// not commit; after release it must commit into the orphan.
+TEST(TxnLockPass, LockedSuccessorIsNotCovered) {
+  for (const auto layout :
+       {vectormap::Layout::kSorted, vectormap::Layout::kUnsorted}) {
+    SCOPED_TRACE(vectormap::layout_name(layout));
+    Config c;
+    c.layer_count = 2;
+    c.target_data_vector_size = 4;
+    c.target_index_vector_size = 4;
+    c.data_layout = layout;
+    Map m(c);
+    for (std::uint64_t k : {270, 280}) {
+      ASSERT_TRUE(m.insert_with_height(k, k, 0));
+    }
+    ASSERT_TRUE(m.insert_with_height(281, 281, 1));
+    for (std::uint64_t k : {282, 290}) {
+      ASSERT_TRUE(m.insert_with_height(k, k, 0));
+    }
+    ASSERT_TRUE(m.remove(281));  // strips the tower: {282, 290} is an orphan
+    ASSERT_EQ(m.counters().orphan_merges, 0u);
+
+    Chunk* orphan = HoldFloor(m, 282);
+    ASSERT_TRUE(MA::is_orphan(orphan));
+    std::array<MA::Op, 2> ops{MA::Op::remove(282), MA::Op::put(283, 2830)};
+    const std::vector<std::uint32_t> order{0, 1};
+    const std::uint64_t version = MA::version_reserve(m);
+    std::vector<Chunk*> pieces;
+    std::size_t applied = 0;
+    std::int64_t delta = 0;
+    auto apply = [&](std::size_t i) {
+      MA::apply_chunk_ops(m, orphan, ops.data(), order, i, i + 1, version,
+                          MA::snapshots_active(m), pieces, applied, delta);
+    };
+    apply(0);  // remove(282)
+
+    auto attempt = [&] {
+      Txn t(m);
+      EXPECT_EQ(t.get(280), std::optional<std::uint64_t>(280));
+      t.put(283, 1);
+      return t.commit();
+    };
+    for (int i = 0; i < 3; ++i) {
+      EXPECT_EQ(attempt(), TxnResult::kLockConflict) << "attempt " << i;
+    }
+    apply(1);  // put(283)
+    MA::note_size_delta(m, delta);
+    orphan->lock.release();
+
+    EXPECT_EQ(attempt(), TxnResult::kCommitted);
+    std::vector<std::uint64_t> keys;
+    m.for_each([&](std::uint64_t k, std::uint64_t) { keys.push_back(k); });
+    EXPECT_EQ(keys, (std::vector<std::uint64_t>{270, 280, 283, 290}));
+    EXPECT_EQ(m.lookup(283), std::optional<std::uint64_t>(1));
+    std::string err;
+    EXPECT_TRUE(m.validate(&err)) << err;
+  }
 }
 
 // ---- Fault injection -------------------------------------------------------

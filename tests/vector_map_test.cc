@@ -6,8 +6,10 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <iterator>
 #include <map>
 #include <memory>
+#include <utility>
 #include <vector>
 
 #include "common/rng.h"
@@ -172,6 +174,52 @@ TYPED_TEST(VectorMapTypedTest, OrderedIterationIsSorted) {
   });
   ASSERT_EQ(seen.size(), keys.size());
   for (std::size_t i = 1; i < seen.size(); ++i) EXPECT_LT(seen[i - 1], seen[i]);
+}
+
+// The bounded visit returns exactly the in-range pairs, in key order, for
+// random contents (some chunks empty, unsorted ones reordered by erases)
+// and random bounds, including lo > hi and bounds outside the chunk's keys.
+TYPED_TEST(VectorMapTypedTest, BoundedOrderedVisitMatchesOracle) {
+  using Pairs = std::vector<std::pair<std::uint64_t, std::uint64_t>>;
+  constexpr std::uint64_t kMax = ~std::uint64_t{0};
+  Xoshiro256 rng(777);
+  for (std::uint64_t round = 0; round < 2000; ++round) {
+    Chunk<TypeParam::kL> c(32);
+    std::map<std::uint64_t, std::uint64_t> oracle;
+    const std::uint64_t n = rng.next_below(33);
+    while (oracle.size() < n) {
+      const std::uint64_t k = 100 + rng.next_below(200);
+      if (oracle.emplace(k, k ^ round).second) {
+        ASSERT_TRUE(c->insert(k, k ^ round));
+      }
+    }
+    for (std::uint64_t i = rng.next_below(4); i > 0 && !oracle.empty(); --i) {
+      auto it = oracle.begin();
+      std::advance(it, rng.next_below(oracle.size()));
+      ASSERT_TRUE(c->erase(it->first));
+      oracle.erase(it);
+    }
+    Pairs bounds = {{0, kMax}, {kMax, 0}, {0, 99}, {300, kMax}};
+    for (int q = 0; q < 8; ++q) {
+      bounds.emplace_back(rng.next_below(400), rng.next_below(400));
+    }
+    for (const auto& [lo, hi] : bounds) {
+      Pairs expect;
+      if (lo <= hi) {
+        for (auto it = oracle.lower_bound(lo);
+             it != oracle.end() && it->first <= hi; ++it) {
+          expect.push_back(*it);
+        }
+      }
+      Pairs got;
+      const std::uint32_t visited = c->for_each_ordered(
+          lo, hi, [&](std::uint64_t k, std::uint64_t v) {
+            got.emplace_back(k, v);
+          });
+      ASSERT_EQ(got, expect) << "lo=" << lo << " hi=" << hi;
+      ASSERT_EQ(visited, expect.size());
+    }
+  }
 }
 
 TYPED_TEST(VectorMapTypedTest, RandomizedOracle) {
