@@ -5,17 +5,11 @@
 // are lookup-dominated (binary search pays), data chunks absorb most of the
 // writes (O(1) unsorted insert/remove pays).
 //
-// Extension: a three-way sweep (static sorted data, static unsorted data,
-// adaptive) over two mixes where the static choices diverge. Scan-heavy
-// punishes unsorted data chunks hard (a range visit sorts the in-range
-// pairs of each chunk), so adaptive starts unsorted and must earn its way
-// back to sorted at split/merge time. Write-heavy starts adaptive from sorted:
-// under real multi-core contention that is the layout the paper's policy
-// flips away from (shorter unsorted write sections), while uncontended the
-// contention gate (adapt::Policy::contended_writes_per_retry) holds it --
-// on a small box the sorted shift IS the cheaper point write, and flipping
-// would be a pessimization. Either way the gate below applies: "within 10%
-// of the best static cell, strictly better than the worst".
+// Extension: a data-layout sweep (sorted vs unsorted data chunks, sorted
+// index) over two mixes where the choices diverge. Scan-heavy punishes
+// unsorted data chunks hard (a range visit sorts the in-range pairs of each
+// chunk); write-heavy (0/50/50) pits the paper's O(1) unsorted writes
+// against the sorted layout's T/2 shift per point write.
 #include <atomic>
 #include <cstdio>
 #include <memory>
@@ -104,25 +98,21 @@ double run_scan_mix(Map& map, std::uint64_t range, unsigned threads,
 }
 
 // One prepared sweep cell: the map built, prefilled, and warmed with three
-// unmeasured intervals of its mix (adaptive decisions fire at structural
-// and scan sites, so a chunk converges only after enough churn reaches it;
-// the static cells get identical treatment). Measurement happens
-// TRIAL-INTERLEAVED across the three cells of a mix -- sequential
-// cell-at-a-time measurement turns any slow machine drift (thermal,
-// noisy neighbors) into a systematic bias against whichever cell runs
-// last, which on a 10% acceptance margin is fatal.
+// unmeasured intervals of its mix so both cells are measured in steady
+// state. Measurement happens TRIAL-INTERLEAVED across the cells of a mix --
+// sequential cell-at-a-time measurement turns any slow machine drift
+// (thermal, noisy neighbors) into a systematic bias against whichever cell
+// runs last.
 struct SweepCell {
   std::unique_ptr<Map> map;
   double sum = 0;
 };
 
 SweepCell prepare_sweep_cell(sv::core::Config cfg, Layout data_layout,
-                             bool adaptive, bool scan_heavy,
-                             std::uint64_t range, unsigned threads,
-                             double seconds) {
+                             bool scan_heavy, std::uint64_t range,
+                             unsigned threads, double seconds) {
   cfg.index_layout = Layout::kSorted;
   cfg.data_layout = data_layout;
-  cfg.adaptive = adaptive;
   SweepCell cell;
   cell.map = std::make_unique<Map>(cfg);
   sv::benchutil::prefill_half(*cell.map, range, threads);
@@ -152,7 +142,7 @@ int main(int argc, char** argv) {
     std::printf(
         "fig7b_sorted_unsorted: chunk layout combinations (80/10/10)\n"
         "  --range-bits=N        key range 2^N (default 20; paper 28)\n"
-        "  --sweep-range-bits=N  key range for the adaptive sweep (default "
+        "  --sweep-range-bits=N  key range for the layout sweep (default "
         "16)\n"
         "  --sweep-tdata=N       data-chunk target size for the sweep "
         "(default 32)\n"
@@ -164,11 +154,9 @@ int main(int argc, char** argv) {
   }
   const auto bits = opt.u64("range-bits", 20);
   const auto sweep_bits = opt.u64("sweep-range-bits", 16);
-  // Data-chunk target size for the sweep, exposed as a knob: the static
-  // layout gap widens with T (ordered scans over unsorted chunks pay a
-  // per-visit sort; sorted point writes pay a T/2 shift), while adaptive
-  // convergence slows with T (decisions fire at structural ops, whose
-  // per-chunk cadence falls as chunks grow).
+  // Data-chunk target size for the sweep, exposed as a knob: the layout
+  // gap widens with T (ordered scans over unsorted chunks pay a per-visit
+  // sort; sorted point writes pay a T/2 shift).
   const auto sweep_tdata =
       static_cast<std::uint32_t>(opt.u64("sweep-tdata", 32));
   const std::uint64_t range = 1ULL << bits;
@@ -215,31 +203,25 @@ int main(int argc, char** argv) {
   std::printf("  %-28s %12.3f\n", "unsorted/sorted", mops);
   report_row("unsorted/sorted", mops);
 
-  // Three-way sweep: static sorted vs static unsorted vs adaptive, on the
-  // two mixes where those static choices diverge. Scan-heavy adaptive
-  // starts from the punished layout (unsorted) and must convert; the
-  // write-heavy start exercises the contention gate (hold when writes are
-  // uncontended, flip when retries say otherwise).
+  // Data-layout sweep: static sorted vs static unsorted data chunks, on the
+  // two mixes where those choices diverge.
   struct SweepMix {
     const char* name;
     bool scan_heavy;
-    Layout adaptive_start;
   };
   const SweepMix mixes[] = {
-      {"scan_heavy", true, Layout::kUnsorted},
-      {"write_heavy", false, Layout::kSorted},
+      {"scan_heavy", true},
+      {"write_heavy", false},
   };
-  std::printf("\n== Adaptive sweep (2^%llu keys, %u threads) ==\n",
+  std::printf("\n== Layout sweep (2^%llu keys, %u threads) ==\n",
               static_cast<unsigned long long>(sweep_bits), threads);
   std::printf("  %-16s %-18s %12s\n", "mix", "data layout", "Mops/s");
   for (const auto& m : mixes) {
-    SweepCell cells[3] = {
-        prepare_sweep_cell(sweep_cfg, Layout::kSorted, /*adaptive=*/false,
-                           m.scan_heavy, sweep_range, threads, seconds),
-        prepare_sweep_cell(sweep_cfg, Layout::kUnsorted, /*adaptive=*/false,
-                           m.scan_heavy, sweep_range, threads, seconds),
-        prepare_sweep_cell(sweep_cfg, m.adaptive_start, /*adaptive=*/true,
-                           m.scan_heavy, sweep_range, threads, seconds),
+    SweepCell cells[2] = {
+        prepare_sweep_cell(sweep_cfg, Layout::kSorted, m.scan_heavy,
+                           sweep_range, threads, seconds),
+        prepare_sweep_cell(sweep_cfg, Layout::kUnsorted, m.scan_heavy,
+                           sweep_range, threads, seconds),
     };
     for (unsigned i = 0; i < trials; ++i) {
       for (auto& c : cells) {
@@ -247,11 +229,11 @@ int main(int argc, char** argv) {
                                      threads, seconds, 0xB12 + i);
       }
     }
-    static const char* const kCellNames[3] = {"static_sorted",
-                                              "static_unsorted", "adaptive"};
-    static const char* const kCellLabels[3] = {"static sorted",
-                                               "static unsorted", "adaptive"};
-    for (int c = 0; c < 3; ++c) {
+    static const char* const kCellNames[2] = {"static_sorted",
+                                              "static_unsorted"};
+    static const char* const kCellLabels[2] = {"static sorted",
+                                               "static unsorted"};
+    for (int c = 0; c < 2; ++c) {
       const double mean = cells[c].sum / trials;
       std::printf("  %-16s %-18s %12.3f\n", m.name, kCellLabels[c], mean);
       report_row(std::string(m.name) + "/" + kCellNames[c], mean);

@@ -7,7 +7,6 @@
 #include <stdexcept>
 #include <string>
 
-#include "core/adapt.h"
 #include "vectormap/layout.h"
 
 namespace sv::core {
@@ -40,31 +39,16 @@ struct Config {
   // undersized table degrades hit rate (slot stealing), never correctness.
   std::size_t hash_index_slots = 0;
 
-  // Initial chunk layouts (Fig. 7b): every new index/data chunk starts
-  // with this tag. Both default to sorted: a sorted data chunk has O(1)
-  // bounds, binary-searched lookups and range visits that read only the
-  // keys in range. On a 4-core host that beat the paper's O(1)-write
-  // unsorted data chunks end to end on svbench's scan, point and
-  // transaction workloads, and held level on write-only churn
+  // Chunk layouts (Fig. 7b): every index/data chunk is born with, and
+  // keeps, its layer's tag. Both default to sorted: a sorted data chunk
+  // has O(1) bounds, binary-searched lookups and range visits that read
+  // only the keys in range. On a 4-core host that beat the paper's
+  // O(1)-write unsorted data chunks end to end on svbench's scan, point
+  // and transaction workloads, and held level on write-only churn
   // (EXPERIMENTS.md Fig. 7b). The paper's configuration is
-  // `data_layout = kUnsorted`. With `adaptive` set, data chunks may be
-  // retagged at split/merge time.
+  // `data_layout = kUnsorted`.
   vectormap::Layout index_layout = vectormap::Layout::kSorted;
   vectormap::Layout data_layout = vectormap::Layout::kSorted;
-
-  // Per-chunk self-tuning (docs/TUNING.md "Adaptive mode"): when true,
-  // data chunks carry hot counters and the adapt::decide() policy
-  // (src/core/adapt.h) retunes layout and target size at split/merge
-  // time. When false (default), chunks keep the static layouts above and
-  // pay no counter traffic.
-  bool adaptive = false;
-
-  // Hysteresis/contention knobs for the adaptive policy (only consulted
-  // when `adaptive` is set). The defaults are the conservative shipped
-  // policy; tests and experiments override individual fields (e.g.
-  // `contended_writes_per_retry = 0` makes the unsorted flip purely
-  // write-skew-driven, with no contention evidence required).
-  adapt::Policy adapt_policy{};
 
   static constexpr std::uint32_t kMaxLayers = 32;
   static constexpr std::size_t kMinHashSlots = 64;
@@ -89,9 +73,6 @@ struct Config {
             "hash_index_slots must be a power of two (the table masks, "
             "it does not round)");
     }
-    if (adaptive && adapt_policy.flip_ratio < 1)
-      throw std::invalid_argument(
-          "adapt_policy.flip_ratio must be >= 1 when adaptive is set");
   }
 
   std::uint32_t data_capacity() const { return 2 * target_data_vector_size; }
@@ -158,8 +139,7 @@ struct Config {
            ", T_I=" + std::to_string(target_index_vector_size) +
            ", mergeFactor=" + std::to_string(merge_threshold_factor) +
            ", layouts=" + vectormap::layout_name(index_layout) + "/" +
-           vectormap::layout_name(data_layout) +
-           (adaptive ? ", adaptive" : "") + "}";
+           vectormap::layout_name(data_layout) + "}";
   }
 };
 

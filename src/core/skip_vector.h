@@ -26,13 +26,9 @@
 //                  key -> data-chunk hint table before descending, falling
 //                  back to the tower on any miss or stale hint.
 //
-// Chunk layouts (Fig. 7b) are RUNTIME properties: every VectorMap carries a
-// per-chunk tag (vectormap/layout.h) seeded from Config::index_layout /
-// Config::data_layout at allocation. With Config::adaptive set, data chunks
-// additionally carry hot counters (NodeBase::hot) and the adapt::decide()
-// policy (core/adapt.h) retunes each chunk's layout and target size at the
-// structural sites -- split and orphan merge -- where the freeze protocol
-// already rewrites contents wholesale, so retuning costs no extra locking.
+// Chunk layouts (Fig. 7b) are chosen per layer at runtime: every chunk is
+// born with Config::index_layout or Config::data_layout (layer_layout())
+// and keeps that immutable tag (vectormap/layout.h) for its lifetime.
 //
 // Deviations from the listings (all argued in DESIGN.md §3): head nodes use
 // an is_head flag plus an explicit head_down pointer instead of a reserved
@@ -65,7 +61,6 @@
 #include "alloc/pool_allocator.h"
 #include "common/hw.h"
 #include "common/rng.h"
-#include "core/adapt.h"
 #include "core/config.h"
 #include "core/hash_index.h"
 #include "core/mvcc.h"
@@ -110,44 +105,6 @@ class SkipVectorMap {
 
   // ---- Node layout ---------------------------------------------------------
 
-  // Per-chunk hot counters (adaptive mode only; core/adapt.h). Plain
-  // relaxed counters: they inform a heuristic, so losing an increment to a
-  // race is harmless, and they are read/reset only under the chunk's write
-  // lock at decision time. Reads are sampled 1-in-2^kReadSampleShift to
-  // keep the counter cache line off the speculative read path's critical
-  // traffic; decision sites scale the sampled value back up.
-  struct HotCounters {
-    std::atomic<std::uint64_t> reads{0};    // sampled search probes
-    std::atomic<std::uint64_t> writes{0};   // point writes under the lock
-    std::atomic<std::uint64_t> retries{0};  // seqlock validation failures
-    std::atomic<std::uint64_t> splits{0};   // capacity splits observed
-
-    // `reads` is kept pre-scaled to op granularity: the sampled point-read
-    // path adds the sampling stride per hit, scans add their visit count
-    // exactly, so drain needs no correction factor.
-    adapt::Signals drain() noexcept {
-      adapt::Signals s;
-      s.reads = reads.exchange(0, std::memory_order_relaxed);
-      s.writes = writes.exchange(0, std::memory_order_relaxed);
-      s.retries = retries.exchange(0, std::memory_order_relaxed);
-      s.splits = splits.exchange(0, std::memory_order_relaxed);
-      return s;
-    }
-
-    // Fold another chunk's evidence into ours (orphan merge: the victim's
-    // history keeps informing the surviving chunk's next decision).
-    void absorb(HotCounters& o) noexcept {
-      reads.fetch_add(o.reads.exchange(0, std::memory_order_relaxed),
-                      std::memory_order_relaxed);
-      writes.fetch_add(o.writes.exchange(0, std::memory_order_relaxed),
-                       std::memory_order_relaxed);
-      retries.fetch_add(o.retries.exchange(0, std::memory_order_relaxed),
-                        std::memory_order_relaxed);
-      splits.fetch_add(o.splits.exchange(0, std::memory_order_relaxed),
-                       std::memory_order_relaxed);
-    }
-  };
-
   struct NodeBase {
     Lock lock;
     std::atomic<NodeBase*> next{nullptr};
@@ -161,17 +118,11 @@ class SkipVectorMap {
     // version). Both are written only under this node's write lock.
     std::atomic<std::uint64_t> mod_version{0};
     std::atomic<VRecord*> vchain{nullptr};
-    // Adaptive evidence (data layer; idle unless Config::adaptive).
-    HotCounters hot;
-    // The target size this chunk was tuned for (adaptive mode may pick a
-    // value != Config::target_data_vector_size, within [T/2, 2T]). Set
-    // once at allocation; capacity == 2 * tuned_target.
-    const std::uint32_t tuned_target;
 
     NodeBase(NodeBase* down, std::uint32_t cap, std::uint8_t lyr, bool head,
              bool orphan) noexcept
         : lock(orphan), head_down(down), capacity(cap), layer(lyr),
-          is_head(head), tuned_target(cap / 2) {}
+          is_head(head) {}
   };
 
   template <class P>
@@ -254,7 +205,6 @@ class SkipVectorMap {
         return result;
       }
       ctx.drop_all();
-      restarts_.fetch_add(1, std::memory_order_relaxed);
       stats::count(stats::Counter::kOpRestarts);
       backoff.pause();
     }
@@ -304,7 +254,6 @@ class SkipVectorMap {
         return result;
       }
       ctx.drop_all();
-      restarts_.fetch_add(1, std::memory_order_relaxed);
       stats::count(stats::Counter::kOpRestarts);
       backoff.pause();
     }
@@ -337,7 +286,6 @@ class SkipVectorMap {
         return result;
       }
       ctx.drop_all();
-      restarts_.fetch_add(1, std::memory_order_relaxed);
       stats::count(stats::Counter::kOpRestarts);
       backoff.pause();
     }
@@ -367,7 +315,6 @@ class SkipVectorMap {
         return result;
       }
       ctx.drop_all();
-      restarts_.fetch_add(1, std::memory_order_relaxed);
       stats::count(stats::Counter::kOpRestarts);
       backoff.pause();
     }
@@ -395,7 +342,6 @@ class SkipVectorMap {
         return out;
       }
       ctx.drop_all();
-      restarts_.fetch_add(1, std::memory_order_relaxed);
       stats::count(stats::Counter::kOpRestarts);
       backoff.pause();
     }
@@ -414,7 +360,6 @@ class SkipVectorMap {
         return out;
       }
       ctx.drop_all();
-      restarts_.fetch_add(1, std::memory_order_relaxed);
       stats::count(stats::Counter::kOpRestarts);
       backoff.pause();
     }
@@ -438,7 +383,6 @@ class SkipVectorMap {
         return out;
       }
       ctx.drop_all();
-      restarts_.fetch_add(1, std::memory_order_relaxed);
       stats::count(stats::Counter::kOpRestarts);
       backoff.pause();
     }
@@ -456,7 +400,6 @@ class SkipVectorMap {
         return out;
       }
       ctx.drop_all();
-      restarts_.fetch_add(1, std::memory_order_relaxed);
       stats::count(stats::Counter::kOpRestarts);
       backoff.pause();
     }
@@ -691,7 +634,6 @@ class SkipVectorMap {
       // Only the index-layer positioning can fail (speculative descent);
       // the versioned data-layer emission itself never restarts.
       ctx.drop_all();
-      restarts_.fetch_add(1, std::memory_order_relaxed);
       stats::count(stats::Counter::kOpRestarts);
       backoff.pause();
     }
@@ -935,21 +877,6 @@ class SkipVectorMap {
       static_cast<const DataNode*>(n)->vec.for_each_ordered(fn);
       n = n->next.load(std::memory_order_relaxed);
     }
-  }
-
-  // Rare-event operation counters (relaxed atomics; never on the hot path
-  // of a successful first-try operation).
-  struct OpCounters {
-    std::uint64_t restarts = 0;        // speculative attempts abandoned
-    std::uint64_t orphan_merges = 0;   // lazy merges performed (Fig. 3f->3d)
-    std::uint64_t capacity_splits = 0; // orphan-creating splits (Fig. 3d)
-    std::uint64_t tower_splits = 0;    // per-layer splits by tall inserts
-  };
-  OpCounters counters() const noexcept {
-    return {restarts_.load(std::memory_order_relaxed),
-            orphan_merges_.load(std::memory_order_relaxed),
-            capacity_splits_.load(std::memory_order_relaxed),
-            tower_splits_.load(std::memory_order_relaxed)};
   }
 
   // Per-instance event counter registry (src/stats/stats.h). Every public
@@ -1215,8 +1142,7 @@ class SkipVectorMap {
         cap);
   }
 
-  // Layout for a freshly allocated chunk: the configured static tag per
-  // layer kind unless the caller overrides it (adaptive decision sites).
+  // The layout every chunk of `layer` is born with and keeps.
   vectormap::Layout layer_layout(std::uint8_t layer) const noexcept {
     return layer ? config_.index_layout : config_.data_layout;
   }
@@ -1224,14 +1150,6 @@ class SkipVectorMap {
   template <class NodeType, class P>
   NodeType* alloc_node(std::uint32_t cap, NodeBase* down, std::uint8_t layer,
                        bool head, bool orphan) {
-    return alloc_node_as<NodeType, P>(cap, down, layer, head, orphan,
-                                      layer_layout(layer));
-  }
-
-  template <class NodeType, class P>
-  NodeType* alloc_node_as(std::uint32_t cap, NodeBase* down,
-                          std::uint8_t layer, bool head, bool orphan,
-                          vectormap::Layout layout) {
     const alloc::NodeLayout l = node_layout<NodeType, P>(cap);
     void* mem = alloc_.allocate(l.bytes);
     auto* keys = reinterpret_cast<std::atomic<K>*>(static_cast<char*>(mem) +
@@ -1242,8 +1160,8 @@ class SkipVectorMap {
       new (keys + i) std::atomic<K>();
       new (vals + i) std::atomic<P>();
     }
-    return new (mem)
-        NodeType(keys, vals, down, cap, layer, head, orphan, layout);
+    return new (mem) NodeType(keys, vals, down, cap, layer, head, orphan,
+                              layer_layout(layer));
   }
 
   void free_node(NodeBase* n) {
@@ -1337,98 +1255,6 @@ class SkipVectorMap {
     } else {
       as_data(dst)->vec.merge_from(as_data(src)->vec);
     }
-  }
-
-  // ---- Adaptive self-tuning (core/adapt.h; docs/TUNING.md) -------------------
-  //
-  // Evidence collection is cheap and racy-by-design (relaxed increments on
-  // the node header); consumption happens only at structural sites where
-  // the chunk is already write-locked or frozen by us. Reads are sampled
-  // 1-in-2^kReadSampleShift so hot read-only chunks do not turn the header
-  // cache line into a contention point; adapt_decide() scales the sampled
-  // count back to op granularity before handing it to the policy.
-
-  static constexpr std::uint32_t kReadSampleShift = 3;
-
-  void note_read(NodeBase* n) noexcept {
-    if (!config_.adaptive || n->layer != 0) return;
-    thread_local std::uint32_t tick = 0;
-    if ((++tick & ((1u << kReadSampleShift) - 1)) != 0) return;
-    // Pre-scaled: one sampled hit stands for the whole stride.
-    n->hot.reads.fetch_add(1u << kReadSampleShift,
-                           std::memory_order_relaxed);
-  }
-  // A locked range scan visited `visited` mappings in this chunk: that is
-  // exact read evidence (and the strongest case for a sorted layout, which
-  // scans in storage order instead of sorting each chunk on the fly).
-  void note_scan(NodeBase* n, std::uint64_t visited) noexcept {
-    if (!config_.adaptive || n->layer != 0 || visited == 0) return;
-    n->hot.reads.fetch_add(visited, std::memory_order_relaxed);
-  }
-  void note_write(NodeBase* n) noexcept {
-    if (!config_.adaptive || n->layer != 0) return;
-    n->hot.writes.fetch_add(1, std::memory_order_relaxed);
-  }
-  void note_retry(NodeBase* n) noexcept {
-    if (!config_.adaptive || n->layer != 0) return;
-    n->hot.retries.fetch_add(1, std::memory_order_relaxed);
-  }
-  void note_split(NodeBase* n) noexcept {
-    if (!config_.adaptive || n->layer != 0) return;
-    n->hot.splits.fetch_add(1, std::memory_order_relaxed);
-  }
-
-  // Drain `node`'s evidence and decide the shape of its replacement chunks
-  // (node write-locked or frozen by us; data layer only). The decision
-  // covers the site as a unit -- the surviving donor converts in place via
-  // adapt_apply, new siblings are born with the decided layout, and target
-  // changes materialize only in newly allocated chunks (a live chunk's
-  // capacity is fixed at allocation).
-  adapt::Decision adapt_decide(NodeBase* node) noexcept {
-    adapt::Decision d{as_data(node)->vec.layout(), node->tuned_target};
-    if (!config_.adaptive || node->layer != 0) return d;
-    const adapt::Signals s = node->hot.drain();
-    if (s.reads + s.writes < config_.adapt_policy.min_samples) {
-      // Below the hysteresis floor the policy holds regardless of skew.
-      // Hot chunks with small targets reach their structural ops every
-      // handful of writes, so a drained sub-floor window must flow back
-      // into the counters: discarding it would keep such chunks below the
-      // floor forever and make them effectively untunable.
-      node->hot.reads.fetch_add(s.reads, std::memory_order_relaxed);
-      node->hot.writes.fetch_add(s.writes, std::memory_order_relaxed);
-      node->hot.retries.fetch_add(s.retries, std::memory_order_relaxed);
-      node->hot.splits.fetch_add(s.splits, std::memory_order_relaxed);
-      return d;
-    }
-    const adapt::Decision nd =
-        adapt::decide(s, d.layout, d.target,
-                      config_.target_data_vector_size, config_.adapt_policy);
-    if (nd.layout != d.layout) {
-      stats::count(nd.layout == vectormap::Layout::kSorted
-                       ? stats::Counter::kLayoutToSorted
-                       : stats::Counter::kLayoutToUnsorted);
-    }
-    if (nd.target != d.target) {
-      stats::count(stats::Counter::kTargetResize);
-    }
-    return nd;
-  }
-
-  // Convert a surviving write-locked data chunk to the decided layout. The
-  // seqlock transition the caller already owns publishes the rewrite.
-  void adapt_apply(NodeBase* node, const adapt::Decision& d) noexcept {
-    if (!config_.adaptive || node->layer != 0) return;
-    as_data(node)->vec.convert_to(d.layout);
-  }
-
-  // Capacity for a data sibling born at a split site under decision `d`:
-  // the decided shape, but never too small to absorb the donor's moved
-  // half plus the incoming key (split_half moves at most tuned_target
-  // elements out of a full donor).
-  std::uint32_t adapt_sibling_capacity(NodeBase* donor,
-                                       const adapt::Decision& d)
-      const noexcept {
-    return std::max(2 * d.target, donor->tuned_target + 1);
   }
 
   std::uint32_t merge_threshold(std::uint8_t layer) const noexcept {
@@ -1535,10 +1361,7 @@ class SkipVectorMap {
       prefetch_node(next);
       const int nslot = other_slot(t.slot);
       ctx.protect(nslot, next);
-      if (!t.node->lock.validate(t.ver)) {  // also validates HP
-        note_retry(t.node);
-        return false;
-      }
+      if (!t.node->lock.validate(t.ver)) return false;  // also validates HP
       const Word next_ver = read_open<kNoWait>(next);
       if (kNoWait && Lock::is_locked(next_ver)) return false;
 
@@ -1550,17 +1373,12 @@ class SkipVectorMap {
           (next_sz == 0 ||
            (mutator && sz + next_sz < merge_threshold(t.node->layer))) &&
           sz + next_sz <= t.node->capacity) {
-        if (!t.node->lock.try_upgrade(t.ver)) {
-          note_retry(t.node);
-          return false;
-        }
+        if (!t.node->lock.try_upgrade(t.ver)) return false;
         if (!next->lock.try_upgrade(next_ver)) {
-          note_retry(next);
           t.node->lock.release();
           return false;
         }
         SV_FAULT_POINT(debug::Point::kMerge);  // both write locks held
-        orphan_merges_.fetch_add(1, std::memory_order_relaxed);
         stats::count(stats::Counter::kOrphanMerges);
         // Data-layer merges commit a state change: fold the version chains
         // (union records land on the surviving left node; the drained
@@ -1592,13 +1410,6 @@ class SkipVectorMap {
         if (!SV_FAULT_SHOULD_FAIL(debug::Point::kMutDropMerge))
 #endif
         node_merge_from(t.node, next);
-        if (config_.adaptive && t.node->layer == 0) {
-          // The absorbed orphan's evidence keeps informing the survivor,
-          // and the merge is a wholesale rewrite anyway: retune in place
-          // (both write locks are held; our release publishes it).
-          t.node->hot.absorb(next->hot);
-          adapt_apply(t.node, adapt_decide(t.node));
-        }
         t.node->next.store(next->next.load(std::memory_order_relaxed),
                            std::memory_order_release);
         if (t.node->layer == 0) {
@@ -1625,18 +1436,12 @@ class SkipVectorMap {
       if (next_sz == 0 || k < node_min_key(next)) {
         // Either k belongs here, or speculation saw an inconsistent next;
         // verify the basis for stopping (line 41).
-        if (!next->lock.validate(next_ver)) {
-          note_retry(next);
-          return false;
-        }
+        if (!next->lock.validate(next_ver)) return false;
         if (next_sz == 0) return false;  // empty non-orphan: racing state
         ctx.drop(nslot);
         break;
       }
-      if (!t.node->lock.validate(t.ver)) {
-        note_retry(t.node);
-        return false;
-      }
+      if (!t.node->lock.validate(t.ver)) return false;
       ctx.drop(t.slot);
       t = Trav{next, next_ver, nslot};
     }
@@ -1689,11 +1494,7 @@ class SkipVectorMap {
     }
     if (!traverse_right(ctx, t, k, /*mutator=*/false)) return false;
     result = as_data(t.node)->vec.get(k);
-    if (!t.node->lock.validate(t.ver)) {  // linearization point
-      note_retry(t.node);
-      return false;
-    }
-    note_read(t.node);
+    if (!t.node->lock.validate(t.ver)) return false;  // linearization point
     if constexpr (kHashEnabled) {
       // Opportunistic hint repair: a hit that descended means the sidecar
       // had no (correct) entry for k. PUBLISH requires the chunk's write
@@ -1911,12 +1712,7 @@ class SkipVectorMap {
       return insert_write_phase(ctx, k, v, height, st, result);
     }
 #endif
-    if (!t.node->lock.try_freeze(t.ver)) {
-      // Another writer's section (or freeze) beat us to this data chunk:
-      // exactly the collision a shorter unsorted write section shrinks.
-      note_retry(t.node);
-      return false;
-    }
+    if (!t.node->lock.try_freeze(t.ver)) return false;
     stats::count(stats::Counter::kFreezes);
     st.prevs[0] = t.node;
     st.lowest_frozen = 0;
@@ -1928,6 +1724,11 @@ class SkipVectorMap {
     // Everything in prevs[0..height] is frozen by us: reads below are
     // stable, and upgrade_frozen cannot fail. This phase never restarts.
     if (as_data(st.prevs[0])->vec.contains(k)) {
+#if defined(SV_FAULT_INJECTION) && SV_FAULT_INJECTION
+      // mut-skip-freeze froze nothing: thawing would overwrite another
+      // writer's lock word and can leave the chunk locked forever.
+      if (st.mut_unlocked) st.lowest_frozen = Config::kMaxLayers + 1;
+#endif
       thaw_all(st, height);
       ctx.drop_all();
       result = false;
@@ -1949,13 +1750,10 @@ class SkipVectorMap {
       NodeBase* fresh;
       if (layer == 0) {
         if (preserve) push_preimage(prev);
-        note_write(prev);
-        const adapt::Decision ad = adapt_decide(prev);
         auto* dn = alloc_split_node<DataNode, V>(as_data(prev)->vec, k,
-                                                 2 * ad.target, 0, ad.layout);
+                                                 config_.data_capacity(), 0);
         as_data(prev)->vec.steal_greater(k, dn->vec);
         dn->vec.insert(k, v);
-        adapt_apply(prev, ad);
         if (preserve) fold_split(prev, dn, k);
         dn->mod_version.store(c, std::memory_order_relaxed);
         prev->mod_version.store(c, std::memory_order_release);
@@ -1963,7 +1761,7 @@ class SkipVectorMap {
       } else {
         auto* in = alloc_split_node<IndexNode, NodeBase*>(
             as_index(prev)->vec, k, config_.index_capacity(),
-            static_cast<std::uint8_t>(layer), config_.index_layout);
+            static_cast<std::uint8_t>(layer));
         SV_FAULT_POINT(debug::Point::kStealAbove);
         stats::count(stats::Counter::kStealAbove);
         as_index(prev)->vec.steal_greater(k, in->vec);
@@ -1986,7 +1784,6 @@ class SkipVectorMap {
         }
       }
       prev->lock.release();
-      tower_splits_.fetch_add(1, std::memory_order_relaxed);
       stats::count(stats::Counter::kTowerSplits);
       below = fresh;
     }
@@ -2043,45 +1840,27 @@ class SkipVectorMap {
   // (rare; keeps the "newNode's first element is k" invariant intact).
   template <class NodeType, class P, class Vec>
   NodeType* alloc_split_node(const Vec& donor, K k, std::uint32_t cap,
-                             std::uint8_t layer, vectormap::Layout layout) {
+                             std::uint8_t layer) {
     std::uint32_t needed = 1;
     donor.for_each([&](K dk, auto) { needed += (dk > k) ? 1 : 0; });
     if (needed > cap) cap = needed;
-    return alloc_node_as<NodeType, P>(cap, nullptr, layer, /*head=*/false,
-                                      /*orphan=*/false, layout);
+    return alloc_node<NodeType, P>(cap, nullptr, layer, /*head=*/false,
+                                   /*orphan=*/false);
   }
 
   template <class NodeType, class P>
   void insert_at_top(NodeType* node, K k, P payload,
                      std::uint64_t commit_ver = 0, bool preserve = false) {
-    if constexpr (std::is_same_v<NodeType, DataNode>) note_write(node);
     if (node->vec.full()) {
       // Capacity split: the new right sibling is an orphan (no parent entry
-      // exists for it; a later merge may fold it back, Fig. 3d). The
-      // sibling must be fully written *before* it is published via next --
-      // it has no lock protection against speculative readers until then.
-      // Data-layer splits are an adaptive decision point: the sibling is
-      // born with the decided layout and target, the donor converts in
-      // place under the lock we already hold.
-      std::uint32_t sib_cap = node->capacity;
-      vectormap::Layout sib_layout = node->vec.layout();
-      adapt::Decision ad{sib_layout, node->tuned_target};
-      if constexpr (std::is_same_v<NodeType, DataNode>) {
-        note_split(node);
-        ad = adapt_decide(node);
-        sib_cap = adapt_sibling_capacity(node, ad);
-        sib_layout = ad.layout;
-      }
-      auto* sib =
-          alloc_node_as<NodeType, P>(sib_cap, nullptr, node->layer,
-                                     /*head=*/false, /*orphan=*/true,
-                                     sib_layout);
-      capacity_splits_.fetch_add(1, std::memory_order_relaxed);
+      // exists for it; a later merge may fold it back, Fig. 3d) with the
+      // donor's capacity. The sibling must be fully written *before* it is
+      // published via next -- it has no lock protection against
+      // speculative readers until then.
+      auto* sib = alloc_node<NodeType, P>(node->capacity, nullptr, node->layer,
+                                          /*head=*/false, /*orphan=*/true);
       stats::count(stats::Counter::kCapacitySplits);
       const K sib_min = node->vec.split_half(sib->vec);
-      if constexpr (std::is_same_v<NodeType, DataNode>) {
-        adapt_apply(node, ad);
-      }
       const bool goes_right = k >= sib_min;
       if (goes_right) {
         const bool ok = sib->vec.insert(k, payload);
@@ -2148,10 +1927,7 @@ class SkipVectorMap {
           node_size(t.node) > 0 && node_min_key(t.node) == k) {
         return false;  // racing Insert placed k here with height > 0
       }
-      if (!t.node->lock.try_upgrade(t.ver)) {
-        note_retry(t.node);
-        return false;
-      }
+      if (!t.node->lock.try_upgrade(t.ver)) return false;
 #if defined(SV_FAULT_INJECTION) && SV_FAULT_INJECTION
       // Mutation site (checker-teeth testing only): when fired, release the
       // seqlock BEFORE performing the erase. The release bumps the version,
@@ -2168,10 +1944,7 @@ class SkipVectorMap {
       const std::uint64_t c = version_reserve();
       if (snapshots_active()) push_preimage(t.node);
       result = as_data(t.node)->vec.erase(k);
-      if (result) {
-        t.node->mod_version.store(c, std::memory_order_release);
-        note_write(t.node);
-      }
+      if (result) t.node->mod_version.store(c, std::memory_order_release);
       if constexpr (kHashEnabled) {
         // FIX: k left this chunk; clear its entry under the lock.
         if (result) hints_.erase(k, t.node);
@@ -2227,17 +2000,11 @@ class SkipVectorMap {
       if (!exchange_down(ctx, t, down)) return false;
     }
     if (!traverse_right(ctx, t, k, /*mutator=*/false)) return false;
-    if (!t.node->lock.try_upgrade(t.ver)) {
-      note_retry(t.node);
-      return false;
-    }
+    if (!t.node->lock.try_upgrade(t.ver)) return false;
     const std::uint64_t c = version_reserve();
     if (snapshots_active()) push_preimage(t.node);
     result = as_data(t.node)->vec.assign(k, v);
-    if (result) {
-      t.node->mod_version.store(c, std::memory_order_release);
-      note_write(t.node);
-    }
+    if (result) t.node->mod_version.store(c, std::memory_order_release);
     if constexpr (kHashEnabled) {
       if (result) hints_.put(k, t.node);  // refresh under the lock
     }
@@ -2391,7 +2158,6 @@ class SkipVectorMap {
         return visited;
       }
       ctx.drop_all();
-      restarts_.fetch_add(1, std::memory_order_relaxed);
       stats::count(stats::Counter::kOpRestarts);
       backoff.pause();
     }
@@ -2446,24 +2212,7 @@ class SkipVectorMap {
         n->mod_version.store(c, std::memory_order_release);
       }
     } else {
-      for (NodeBase* n : locked) {
-        const std::size_t in_chunk = body(as_data(n));
-        note_scan(n, in_chunk);
-        // A locked scan of an UNSORTED chunk is also a decision site: we
-        // hold the chunk's write lock and the visit just paid the per-visit
-        // sort that an in-place conversion would have avoided, so
-        // scan-dominated chunks converge at the scan rate instead of
-        // waiting for a split/merge a read-heavy workload may never
-        // trigger. Sorted chunks are skipped outright -- a scan is no
-        // reason to flip toward unsorted (its next split/merge decides
-        // that), and draining counters on every visit would tax the very
-        // layout scans favor.
-        if (config_.adaptive && n->layer == 0 &&
-            as_data(n)->vec.layout() == vectormap::Layout::kUnsorted) {
-          adapt_apply(n, adapt_decide(n));
-        }
-        visited += in_chunk;
-      }
+      for (NodeBase* n : locked) visited += body(as_data(n));
     }
     for (NodeBase* n : locked) n->lock.release();
     return true;
@@ -2859,7 +2608,6 @@ class SkipVectorMap {
         op.applied = p->vec.erase(op.key);
         if (op.applied) {
           if constexpr (kHashEnabled) hints_.erase(op.key, p);  // FIX
-          note_write(p);
           ++applied;
           --delta;
         }
@@ -2871,18 +2619,13 @@ class SkipVectorMap {
       }
       if (p->vec.full()) {
         // Capacity split under our lock: the sibling is born locked (it is
-        // mutated until the batch commits) and orphan (no parent entry).
-        // Adaptive decision point, like insert_at_top's split.
-        note_split(p);
-        const adapt::Decision ad = adapt_decide(p);
-        auto* sib = alloc_node_as<DataNode, V>(
-            adapt_sibling_capacity(p, ad), nullptr, 0,
-            /*head=*/false, /*orphan=*/true, ad.layout);
+        // mutated until the batch commits) and orphan (no parent entry),
+        // with the donor's capacity, like insert_at_top's split.
+        auto* sib = alloc_node<DataNode, V>(p->capacity, nullptr, 0,
+                                            /*head=*/false, /*orphan=*/true);
         sib->lock.acquire();  // fresh node: uncontended
-        capacity_splits_.fetch_add(1, std::memory_order_relaxed);
         stats::count(stats::Counter::kCapacitySplits);
         const K sib_min = p->vec.split_half(sib->vec);
-        adapt_apply(p, ad);
         if (preserve) fold_split(p, sib, sib_min);
         sib->next.store(p->next.load(std::memory_order_relaxed),
                         std::memory_order_relaxed);
@@ -2907,7 +2650,6 @@ class SkipVectorMap {
       assert(ok);
       (void)ok;
       if constexpr (kHashEnabled) hints_.put(op.key, p);  // under the lock
-      note_write(p);
       op.applied = true;
       ++applied;
       ++delta;
@@ -2983,10 +2725,6 @@ class SkipVectorMap {
   std::vector<NodeBase*> heads_;  // per layer, [0] = data
   NodeBase* head_ = nullptr;      // top-layer head (the paper's `head`)
   std::atomic<std::int64_t> approx_size_{0};
-  mutable std::atomic<std::uint64_t> restarts_{0};
-  mutable std::atomic<std::uint64_t> orphan_merges_{0};
-  mutable std::atomic<std::uint64_t> capacity_splits_{0};
-  mutable std::atomic<std::uint64_t> tower_splits_{0};
   mutable stats::Registry stats_;
 
   // Multiversioning (docs/SNAPSHOTS.md): the global commit version every
@@ -2997,9 +2735,9 @@ class SkipVectorMap {
 };
 
 // Convenience aliases matching the paper's evaluated variants. Chunk
-// layouts are runtime configuration now (Config::index_layout /
-// Config::data_layout, defaulting to the paper's best static choice:
-// sorted index chunks over unsorted data chunks).
+// layouts are runtime configuration (Config::index_layout /
+// Config::data_layout), sorted in both layers by default; the paper's
+// sorted index over unsorted data is `data_layout = kUnsorted`.
 template <class K, class V>
 using SkipVector = SkipVectorMap<K, V, reclaim::HazardReclaimer>;  // SV-HP
 

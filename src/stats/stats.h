@@ -115,11 +115,6 @@ enum class Counter : std::uint32_t {
   kHashStale,     // probes that found an entry but could not conclude
   kHashRebuilds,  // hint publish/repair/repoint events (split/merge/lookup)
 
-  // Adaptive chunk tuning (core/adapt.h; zero unless Config::adaptive).
-  kLayoutToSorted,    // chunks retagged unsorted -> sorted at a decision
-  kLayoutToUnsorted,  // chunks retagged sorted -> unsorted at a decision
-  kTargetResize,      // decisions that changed a chunk's target size
-
   // Transaction layer (src/txn/; docs/TRANSACTIONS.md). kTxnLockFail is
   // counted inside the shared lock manager, so apply_batch conflicts bump
   // it alongside kBatchAborts.
@@ -183,9 +178,6 @@ inline constexpr std::array<std::string_view, kCounterCount> kCounterNames = {
     "hash_hits",
     "hash_stale",
     "hash_rebuilds",
-    "layout_to_sorted",
-    "layout_to_unsorted",
-    "target_resize",
     "txn_commits",
     "txn_aborts",
     "txn_lock_fail",

@@ -276,9 +276,6 @@ struct MapAccess {
   // ---- Bookkeeping -------------------------------------------------------
 
   static Ctx thread_ctx(Map& m) { return m.reclaimer_.thread_ctx(); }
-  static void note_restart(Map& m) noexcept {
-    m.restarts_.fetch_add(1, std::memory_order_relaxed);
-  }
   static void note_size_delta(Map& m, std::int64_t delta) noexcept {
     if (delta != 0) m.approx_size_.fetch_add(delta, std::memory_order_relaxed);
   }
@@ -530,7 +527,6 @@ struct LockMgr {
         return BatchOutcome{r.applied, r.delta};
       }
       stats::count(stats::Counter::kBatchAborts);
-      MA::note_restart(m);
       if (r.status == PassStatus::kNeedDemote) {
         // A remove targets a towered key: demote its tower (a benign
         // structural op -- the key stays present) outside the locking

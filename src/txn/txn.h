@@ -158,16 +158,13 @@ class Txn {
           // Benign structural fix (the key stays present): demote and
           // retry the pass -- reads re-validate on the next pass, so no
           // re-execution is needed.
-          MapAccess<Map>::note_restart(*map_);
           MapAccess<Map>::demote_tower(*map_, op_scope.ctx(), r.demote_key);
           backoff.pause();
           continue;
         case PassStatus::kLockConflict:
-          MapAccess<Map>::note_restart(*map_);
           stats::count(stats::Counter::kTxnAborts);
           return TxnResult::kLockConflict;
         case PassStatus::kValidationFail:
-          MapAccess<Map>::note_restart(*map_);
           stats::count(stats::Counter::kTxnAborts);
           return TxnResult::kValidationFail;
       }

@@ -13,19 +13,13 @@
 // loops are bounded by `capacity` regardless of what a racing writer does
 // (the termination requirement of §IV-C).
 //
-// Two layouts (Fig. 7b), selected PER CHUNK at runtime by a tag that lives
-// next to size in the node header (docs/TUNING.md "Adaptive mode"):
+// Two layouts (Fig. 7b), selected per chunk at runtime by a tag fixed at
+// construction (the skip vector picks one per layer, docs/TUNING.md
+// "Chunk layouts"):
 //   Sorted:   keys ascending; O(log T) lookup, O(T) insert/erase (shifts).
 //   Unsorted: append/swap-with-last; O(T) lookup, O(1) insert/erase writes.
-//
-// The tag is written only under the node's write lock -- layout conversions
-// happen at split/merge/fold time, where the freeze bit already rewrites the
-// chunk wholesale -- and is loaded (relaxed) once per search inside the
-// seqlock read section. A speculative reader racing a conversion may
-// dispatch the wrong kernel for the bytes it reads; every kernel is bounded
-// by `n` and returns only kNpos or an index < n, so the result is merely
-// wrong, never unsafe, and SequenceLock::validate rejects it before it
-// escapes -- the same argument that already covers torn element sets.
+// The tag never changes, so a speculative reader always dispatches the
+// kernel matching the bytes it reads.
 //
 // Vectorized speculative reads (kRawScan). When K is uint32_t/uint64_t and
 // std::atomic<K> is layout-identical to K and always lock-free, the search
@@ -123,45 +117,7 @@ class VectorMap {
 
   std::uint32_t capacity() const noexcept { return capacity_; }
 
-  // The chunk's current layout tag. Safe to load speculatively: the tag
-  // only changes under the write lock, and a stale load yields a bounded
-  // wrong-kernel search that seqlock validation rejects.
-  Layout layout() const noexcept {
-    return layout_.load(std::memory_order_relaxed);
-  }
-  bool sorted() const noexcept { return layout() == Layout::kSorted; }
-
-  // Retag without moving elements (writer context). Only legal when the
-  // stored order already satisfies the new tag: any order is a valid
-  // Unsorted chunk, and an empty chunk satisfies either tag.
-  void set_layout(Layout l) noexcept {
-    layout_.store(l, std::memory_order_relaxed);
-  }
-
-  // Convert to the requested layout, physically reordering if needed
-  // (writer context: the node's write lock is held, the seqlock release
-  // publishes the rewrite). Returns true when the tag changed. Sorted ->
-  // Unsorted is a pure retag (a sorted array is a valid unsorted one);
-  // Unsorted -> Sorted gathers, sorts, and stores back.
-  bool convert_to(Layout l) noexcept {
-    if (layout() == l) return false;
-    if (l == Layout::kSorted) {
-      const std::uint32_t n = size();
-      thread_local std::vector<std::pair<K, V>> scratch;
-      scratch.clear();
-      for (std::uint32_t i = 0; i < n; ++i) {
-        scratch.emplace_back(load_key(i), load_val(i));
-      }
-      std::sort(scratch.begin(), scratch.end(),
-                [](const auto& a, const auto& b) { return a.first < b.first; });
-      for (std::uint32_t i = 0; i < n; ++i) {
-        store_key(i, scratch[i].first);
-        store_val(i, scratch[i].second);
-      }
-    }
-    layout_.store(l, std::memory_order_relaxed);
-    return true;
-  }
+  bool sorted() const noexcept { return layout_ == Layout::kSorted; }
 
   // Clamped size: a speculative reader may race with a writer, but must
   // never index out of bounds.
@@ -451,11 +407,8 @@ class VectorMap {
   // All searches below operate on the first n slots (n already clamped by
   // size()) and return an index < n, or simd::kNpos for "no qualifying
   // element". Every public read and mutator lookup routes through these, so
-  // the SIMD dispatch lives in exactly one place per shape. Each helper
-  // loads the layout tag once and branches on it: dispatching on the tag
-  // inside the seqlock read section is safe because a stale tag only
-  // selects the wrong (still bounded) kernel, and validation rejects the
-  // read section.
+  // the SIMD dispatch lives in exactly one place per shape, branching on
+  // the chunk's layout tag.
 
   // Sorted layout: first index with key > k / >= k.
   std::uint32_t sorted_upper_bound(std::uint32_t n, K k) const noexcept {
@@ -625,9 +578,7 @@ class VectorMap {
   std::atomic<V>* vals_;
   const std::uint32_t capacity_;
   std::atomic<std::uint32_t> size_;
-  // Per-chunk layout tag: written only under the node's write lock, read
-  // speculatively (see header comment).
-  std::atomic<Layout> layout_;
+  const Layout layout_;
 };
 
 }  // namespace sv::vectormap

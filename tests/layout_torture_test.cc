@@ -1,11 +1,12 @@
-// Layout-conversion torture: with Config::adaptive on and tiny chunks, the
-// map keeps flipping data chunks sorted <-> unsorted (and retuning their
-// target size) at split/merge time while a differential oracle checks every
-// result. Fault-injection schedules yield/delay inside the structural
-// transitions that perform the conversions, widening the windows where a
-// freshly retagged chunk is visible to concurrent readers. Typed across the
-// reclamation/allocation policies (HP, EBR, HP+Pool, EBR+Pool) so the
-// conversion path is exercised over every reclamation discipline.
+// Static-layout torture: tiny chunks split and merge constantly under each
+// static data layout (the differential and scan tests run unsorted data
+// chunks, the striped test sorted ones) while a differential oracle checks
+// every result. Fault-injection schedules yield/delay inside the
+// structural transitions -- split, merge, tower split, batch commit,
+// version fold -- widening the windows where a half-built chunk could be
+// visible to concurrent readers. Typed across the reclamation/allocation
+// policies (HP, EBR, HP+Pool, EBR+Pool) so every structural path is
+// exercised over every reclamation discipline.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -19,7 +20,6 @@
 #include "core/skip_vector.h"
 #include "core/skip_vector_epoch.h"
 #include "debug/fault_inject.h"
-#include "stats/stats.h"
 
 namespace sv::core {
 namespace {
@@ -40,20 +40,13 @@ using Policies =
                    Policy<reclaim::HazardReclaimer, alloc::PoolNodeAllocator>,
                    Policy<reclaim::EpochReclaimer, alloc::PoolNodeAllocator>>;
 
-// Tiny chunks + adaptive with an eager policy: chunks small enough that
-// the default hysteresis floor (64 samples per chunk window) is easy to
-// satisfy, and the contention gate disabled so the single-threaded
-// differential's write phase flips chunks unsorted deterministically (the
-// shipped default demands retry evidence; tests/adapt_test.cc covers that
-// gate in isolation).
-Config AdaptiveSmall(Layout start) {
+// Tiny chunks (capacity 8): every few writes split or merge one.
+Config Small(Layout data_layout) {
   Config c;
   c.layer_count = 4;
   c.target_data_vector_size = 4;
   c.target_index_vector_size = 4;
-  c.data_layout = start;
-  c.adaptive = true;
-  c.adapt_policy.contended_writes_per_retry = 0;
+  c.data_layout = data_layout;
   return c;
 }
 
@@ -68,18 +61,17 @@ class LayoutTortureTest : public testing::Test {
 
 TYPED_TEST_SUITE(LayoutTortureTest, Policies);
 
-// Sequential differential: a read-heavy phase (chunks earn sorted tags as
-// they split) followed by a write-heavy phase (replacement chunks flip back
-// to unsorted), with a schedule yielding/delaying inside split, merge,
+// Sequential differential: a read-heavy phase followed by a write-heavy
+// phase, with a schedule yielding/delaying inside split, merge,
 // tower-split, batch-commit, and version-fold. Every op is checked against
-// a std::map oracle, so a conversion that drops, duplicates, or reorders a
-// mapping is caught at the next touch of its key.
-TYPED_TEST(LayoutTortureTest, DifferentialAcrossLayoutFlips) {
+// a std::map oracle, so a structural transition that drops, duplicates, or
+// reorders a mapping is caught at the next touch of its key.
+TYPED_TEST(LayoutTortureTest, DifferentialAcrossSplitsAndMerges) {
   FaultInjector::instance().install(Schedule::parse(
       "seed=91;pyield@split=0.5;pdelay@split=0.25;pyield@merge=0.5;"
       "pdelay@merge=0.25;pyield@tower-split=0.5;pyield@batch-commit=0.5;"
       "pyield@version-fold=0.5;pfail@freeze=0.05"));
-  typename TestFixture::Map m(AdaptiveSmall(Layout::kUnsorted));
+  typename TestFixture::Map m(Small(Layout::kUnsorted));
   std::map<std::uint64_t, std::uint64_t> oracle;
   Xoshiro256 rng(4242);
   constexpr std::uint64_t kKeys = 512;
@@ -107,8 +99,8 @@ TYPED_TEST(LayoutTortureTest, DifferentialAcrossLayoutFlips) {
     }
   };
 
-  run_phase(/*pct_lookup=*/90, 30000);  // read-dominated: converge sorted
-  run_phase(/*pct_lookup=*/5, 30000);   // write-dominated: converge unsorted
+  run_phase(/*pct_lookup=*/90, 30000);  // read-dominated
+  run_phase(/*pct_lookup=*/5, 30000);   // write-dominated
 
   std::string err;
   ASSERT_TRUE(m.validate(&err)) << err;
@@ -121,26 +113,18 @@ TYPED_TEST(LayoutTortureTest, DifferentialAcrossLayoutFlips) {
     ++it;
   });
   EXPECT_TRUE(it == oracle.end());
-
-  if (stats::kEnabled) {
-    const auto s = m.stats_registry().snapshot();
-    EXPECT_GT(s[stats::Counter::kLayoutToSorted], 0u)
-        << "read phase produced no unsorted->sorted conversions";
-    EXPECT_GT(s[stats::Counter::kLayoutToUnsorted], 0u)
-        << "write phase produced no sorted->unsorted conversions";
-  }
 }
 
 // Concurrent torture: threads own disjoint key stripes (key % threads == t)
 // so each keeps an exact local oracle while all of them share chunks --
-// conversions happen under genuine concurrency with the schedule widening
-// the transition windows. Afterwards the union of the local oracles must
-// equal the map exactly.
+// splits and merges happen under genuine concurrency with the schedule
+// widening the transition windows. Afterwards the union of the local
+// oracles must equal the map exactly.
 TYPED_TEST(LayoutTortureTest, ConcurrentStripedDifferential) {
   FaultInjector::instance().install(Schedule::parse(
       "seed=17;pyield@split=0.25;pdelay@split=0.1;pyield@merge=0.25;"
       "pdelay@merge=0.1;pyield@tower-split=0.25;pyield@version-fold=0.25"));
-  typename TestFixture::Map m(AdaptiveSmall(Layout::kSorted));
+  typename TestFixture::Map m(Small(Layout::kSorted));
   constexpr unsigned kThreads = 4;
   constexpr std::uint64_t kKeys = 4096;
   constexpr int kOps = 40000;
@@ -202,15 +186,13 @@ TYPED_TEST(LayoutTortureTest, ConcurrentStripedDifferential) {
   EXPECT_TRUE(it == expect.end());
 }
 
-// Range scans across mid-flight conversions: scans feed read evidence
-// (note_scan) while point writers feed write evidence, so chunks keep
-// receiving contradictory signals and flip repeatedly; every scan must
-// still observe keys in strictly increasing order whatever tag the chunk
-// carries when visited.
-TYPED_TEST(LayoutTortureTest, ScansStayOrderedWhileChunksFlip) {
+// Range scans across mid-flight splits and merges of unsorted data chunks:
+// point writers churn the chunks while every scan must still observe keys
+// in strictly increasing order (each visit sorts a chunk's in-range pairs).
+TYPED_TEST(LayoutTortureTest, ScansStayOrderedUnderChurn) {
   FaultInjector::instance().install(
       Schedule::parse("seed=3;pyield@split=0.3;pyield@merge=0.3"));
-  typename TestFixture::Map m(AdaptiveSmall(Layout::kUnsorted));
+  typename TestFixture::Map m(Small(Layout::kUnsorted));
   constexpr std::uint64_t kKeys = 2048;
   for (std::uint64_t k = 0; k < kKeys; k += 2) ASSERT_TRUE(m.insert(k, k));
 

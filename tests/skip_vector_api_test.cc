@@ -11,6 +11,7 @@
 
 #include "common/rng.h"
 #include "core/skip_vector.h"
+#include "stats/stats.h"
 
 namespace sv::core {
 namespace {
@@ -242,17 +243,24 @@ TEST(Counters, SplitsAndMergesAreCounted) {
   SeqMap m(Tiny());
   // Ascending inserts: plenty of capacity splits and tower splits.
   for (std::uint64_t k = 0; k < 500; ++k) ASSERT_TRUE(m.insert(k, k));
-  auto c1 = m.counters();
-  EXPECT_GT(c1.capacity_splits + c1.tower_splits, 0u);
-  EXPECT_EQ(c1.restarts, 0u) << "sequential execution cannot restart";
+  const auto c1 = m.stats_registry().snapshot();
+  if (stats::kEnabled) {
+    EXPECT_GT(c1[stats::Counter::kCapacitySplits] +
+                  c1[stats::Counter::kTowerSplits],
+              0u);
+  }
+  EXPECT_EQ(c1[stats::Counter::kOpRestarts], 0u)
+      << "sequential execution cannot restart";
   // Remove tall keys to orphan nodes, then churn to trigger merges.
   for (std::uint64_t k = 0; k < 500; ++k) ASSERT_TRUE(m.remove(k));
   for (std::uint64_t k = 0; k < 500; ++k) {
     m.insert(k, k);
     m.remove(k);
   }
-  auto c2 = m.counters();
-  EXPECT_GT(c2.orphan_merges, 0u);
+  if (stats::kEnabled) {
+    EXPECT_GT(m.stats_registry().snapshot()[stats::Counter::kOrphanMerges],
+              0u);
+  }
 }
 
 // ---- Range edge cases --------------------------------------------------------------

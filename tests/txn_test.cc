@@ -542,7 +542,7 @@ TEST(TxnLockPass, LockedSuccessorIsNotCovered) {
       ASSERT_TRUE(m.insert_with_height(k, k, 0));
     }
     ASSERT_TRUE(m.remove(281));  // strips the tower: {282, 290} is an orphan
-    ASSERT_EQ(m.counters().orphan_merges, 0u);
+    ASSERT_EQ(counter(m, stats::Counter::kOrphanMerges), 0u);
 
     Chunk* orphan = HoldFloor(m, 282);
     ASSERT_TRUE(MA::is_orphan(orphan));
@@ -611,7 +611,7 @@ TEST(TxnInjection, SuccessorMergedMidStep) {
     EXPECT_TRUE(m.insert_with_height(60, 60, 1));
     EXPECT_TRUE(m.insert_with_height(65, 65, 0));
     EXPECT_TRUE(m.remove(60));
-    EXPECT_EQ(m.counters().orphan_merges, 0u);
+    EXPECT_EQ(counter(m, stats::Counter::kOrphanMerges), 0u);
 
     // The pass locks the head chunk for 10 after reading A's minimum (hit
     // 1). For 65 it steps head -> A (hit 2) and reads X (hit 3). At hit 3
@@ -631,7 +631,9 @@ TEST(TxnInjection, SuccessorMergedMidStep) {
     FaultInjector::instance().clear();
 
     EXPECT_EQ(snap[static_cast<std::size_t>(Point::kTxnLockStep)], 3u);
-    EXPECT_EQ(m.counters().orphan_merges, 1u);
+    if (stats::kEnabled) {
+      EXPECT_EQ(counter(m, stats::Counter::kOrphanMerges), 1u);
+    }
     EXPECT_EQ(m.lookup(65), std::optional<std::uint64_t>(650));
     EXPECT_EQ(m.lookup(66), std::optional<std::uint64_t>(66));
     const auto rep = m.validate_structure();

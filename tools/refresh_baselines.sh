@@ -56,11 +56,12 @@ mkdir -p "$out_dir"
   --seconds=0.3 --trials=4 --hash --json="$out_dir/BENCH_fig4.json"
 "$build_dir/bench/fig5_mix05050" --range-bits=16 --threads=2,4 \
   --seconds=0.25 --trials=2 --pool --json="$out_dir/BENCH_fig5.json"
-# fig7b carries the layout matrix plus the adaptive sweep: the
-# scan_heavy/* and write_heavy/* rows pin "adaptive lands within 10% of
-# the best static layout and beats the worst" (docs/TUNING.md). Single
-# thread on purpose: with threads > cores, preemption inside seqlock write
-# sections turns the sweep cells into scheduler-noise measurements.
+# fig7b carries the layout matrix plus the data-layout sweep: the
+# scan_heavy/* and write_heavy/* rows pin static sorted vs static unsorted
+# data chunks on the two mixes where they diverge (docs/TUNING.md "Chunk
+# layouts"). Single thread on purpose: with threads > cores, preemption
+# inside seqlock write sections turns the sweep cells into scheduler-noise
+# measurements.
 "$build_dir/bench/fig7b_sorted_unsorted" --range-bits=14 \
   --sweep-range-bits=14 --threads=1 --seconds=0.4 --trials=5 \
   --json="$out_dir/BENCH_fig7.json"

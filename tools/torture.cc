@@ -28,6 +28,7 @@
 #include "common/timer.h"
 #include "core/skip_vector_epoch.h"
 #include "debug/fault_inject.h"
+#include "stats/stats.h"
 
 namespace {
 
@@ -137,15 +138,18 @@ int run(Map& map, const Options& opt) {
                    static_cast<unsigned long long>(audit_bad),
                    rep.to_string().c_str());
     }
+    const auto s = map.stats_registry().snapshot();
     std::printf("[%7.1fs] check #%llu: %s, population=%zu, counters"
                 "(restarts=%llu merges=%llu splits=%llu)\n",
                 total.elapsed_seconds(),
                 static_cast<unsigned long long>(checks),
                 ok && audit_bad == 0 ? "ok" : "FAIL", population,
-                static_cast<unsigned long long>(map.counters().restarts),
-                static_cast<unsigned long long>(map.counters().orphan_merges),
                 static_cast<unsigned long long>(
-                    map.counters().capacity_splits));
+                    s[sv::stats::Counter::kOpRestarts]),
+                static_cast<unsigned long long>(
+                    s[sv::stats::Counter::kOrphanMerges]),
+                static_cast<unsigned long long>(
+                    s[sv::stats::Counter::kCapacitySplits]));
     std::fflush(stdout);
     pause.store(false, std::memory_order_release);
   }
