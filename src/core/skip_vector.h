@@ -187,27 +187,10 @@ class SkipVectorMap {
     stats::Scope stats_scope(stats_);
     Ctx ctx = reclaimer_.thread_ctx();
     OpGuard op_scope(ctx);
-    if constexpr (kHashEnabled) {
-      std::optional<V> result;
-      if (hash_try_lookup(ctx, k, result)) {
-        ctx.drop_all();
-        stats::count(stats::Counter::kLookupHit);
-        return result;
-      }
-      ctx.drop_all();
-    }
-    sync::Backoff backoff;
-    for (;;) {
-      std::optional<V> result;
-      if (try_lookup(ctx, k, result)) {
-        stats::count(result ? stats::Counter::kLookupHit
-                            : stats::Counter::kLookupMiss);
-        return result;
-      }
-      ctx.drop_all();
-      stats::count(stats::Counter::kOpRestarts);
-      backoff.pause();
-    }
+    Trav at;
+    std::optional<V> result = lookup_at(ctx, k, at);
+    ctx.drop_all();
+    return result;
   }
 
   bool contains(K k) { return lookup(k).has_value(); }
@@ -236,7 +219,8 @@ class SkipVectorMap {
       // and the insert is a no-op. New keys take the full descent (their
       // hint is published at the insert's write site).
       std::optional<V> present;
-      if (hash_try_lookup(ctx, k, present)) {
+      Trav at;
+      if (hash_try_lookup(ctx, k, present, at)) {
         ctx.drop_all();
         stats::count(stats::Counter::kInsertDup);
         return false;
@@ -1483,7 +1467,36 @@ class SkipVectorMap {
 
   // ---- Lookup implementation -------------------------------------------------
 
-  bool try_lookup(Ctx& ctx, K k, std::optional<V>& result) {
+  // lookup()'s body, shared with the transaction layer's pinned read
+  // (txn/lock_mgr.h). On return `at` is the data chunk that answered and
+  // the word its read validated at; at.slot still protects the chunk, and
+  // the caller drops it.
+  std::optional<V> lookup_at(Ctx& ctx, K k, Trav& at) {
+    if constexpr (kHashEnabled) {
+      std::optional<V> result;
+      if (hash_try_lookup(ctx, k, result, at)) {
+        stats::count(stats::Counter::kLookupHit);
+        return result;
+      }
+      ctx.drop_all();
+    }
+    sync::Backoff backoff;
+    for (;;) {
+      std::optional<V> result;
+      if (try_lookup(ctx, k, result, at)) {
+        stats::count(result ? stats::Counter::kLookupHit
+                            : stats::Counter::kLookupMiss);
+        return result;
+      }
+      ctx.drop_all();
+      stats::count(stats::Counter::kOpRestarts);
+      backoff.pause();
+    }
+  }
+
+  // On success hands back its final position: k's floor data chunk,
+  // protected, with the word the read validated at.
+  bool try_lookup(Ctx& ctx, K k, std::optional<V>& result, Trav& at) {
     Trav t = begin_traversal(ctx);
     while (t.node->layer > 0) {
       if (!traverse_right(ctx, t, k, /*mutator=*/false)) return false;
@@ -1500,11 +1513,12 @@ class SkipVectorMap {
       // had no (correct) entry for k. PUBLISH requires the chunk's write
       // lock, so upgrade the validated read section; failure just skips the
       // repair. The upgrade/release bumps the version -- acceptable, this
-      // path only runs when the hint was already missing or stale.
+      // path only runs when the hint was already missing or stale. The
+      // chunk's contents did not change, so the read holds at the new word.
       if (result.has_value() && hints_.get(k) != t.node &&
           t.node->lock.try_upgrade(t.ver)) {
         hints_.put(k, t.node);
-        t.node->lock.release();
+        t.ver = t.node->lock.release();
         stats::count(stats::Counter::kHashRebuilds);
       } else if (!result.has_value()) {
         // k proved absent: shed any stale entry so repeated misses stop
@@ -1512,7 +1526,7 @@ class SkipVectorMap {
         if (void* p = hints_.get(k)) hints_.drop(k, p);
       }
     }
-    ctx.drop_all();
+    at = t;
     return true;
   }
 
@@ -1540,9 +1554,10 @@ class SkipVectorMap {
   }
 
   // Validated read of k through the sidecar. Returns true ONLY on a hit
-  // (result engaged); a miss concludes nothing -- the hint proposes one
-  // chunk, and k's absence from it does not prove absence from the map.
-  bool hash_try_lookup(Ctx& ctx, K k, std::optional<V>& result) {
+  // (result engaged, `at` the hinted chunk and its validated word); a miss
+  // concludes nothing -- the hint proposes one chunk, and k's absence from
+  // it does not prove absence from the map.
+  bool hash_try_lookup(Ctx& ctx, K k, std::optional<V>& result, Trav& at) {
     DataNode* c = hash_probe(ctx, k);
     if (c == nullptr) return false;
     const Word w = c->lock.read_begin();
@@ -1561,6 +1576,7 @@ class SkipVectorMap {
     // version-bumped) before its locks release, so c is still linked and
     // this is the same linearization point as try_lookup's final read.
     stats::count(stats::Counter::kHashHits);
+    at = Trav{c, w, 0};
     return true;
   }
 

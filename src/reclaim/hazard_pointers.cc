@@ -111,6 +111,8 @@ HazardDomain::ThreadRec* HazardDomain::acquire_rec() {
 
 void HazardDomain::release_rec(ThreadRec* rec) {
   for (auto& s : rec->slots) s.store(nullptr, std::memory_order_release);
+  for (auto& s : rec->pins) s.store(nullptr, std::memory_order_release);
+  rec->pins_claimed = false;
   if (!rec->retired.empty()) {
     SpinGuard g(orphan_mu_);
     orphans_.insert(orphans_.end(), rec->retired.begin(), rec->retired.end());
@@ -141,18 +143,21 @@ void HazardDomain::scan(ThreadRec& rec) {
   }
 
   // Stage 1: snapshot every published hazard pointer. The seq_cst fence
-  // pairs with the one in ThreadCtx::protect().
+  // pairs with the one in ThreadCtx::protect(). A record's traversal slots
+  // are read before its pins: ThreadCtx::pin() relies on that order.
   std::atomic_thread_fence(std::memory_order_seq_cst);
   std::vector<const void*> protected_ptrs;
   protected_ptrs.reserve(rec_count_.load(std::memory_order_relaxed) *
-                         kSlotsPerThread);
+                         (kSlotsPerThread + kPinSlots));
+  const auto collect = [&](const std::atomic<const void*>& s) {
+    if (const void* p = s.load(std::memory_order_acquire)) {
+      protected_ptrs.push_back(p);
+    }
+  };
   for (ThreadRec* r = head_.load(std::memory_order_acquire); r != nullptr;
        r = r->next) {
-    for (const auto& s : r->slots) {
-      if (const void* p = s.load(std::memory_order_acquire)) {
-        protected_ptrs.push_back(p);
-      }
-    }
+    for (const auto& s : r->slots) collect(s);
+    for (const auto& s : r->pins) collect(s);
   }
   std::sort(protected_ptrs.begin(), protected_ptrs.end());
 

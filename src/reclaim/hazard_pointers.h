@@ -7,10 +7,14 @@
 // pending retirements are handed off, so short-lived threads (common in
 // tests) neither leak slots nor leak memory.
 //
-// Bounds: with P attached threads and K slots each, at most P*K retired
-// nodes per thread can be blocked from reclamation, and a scan runs every
-// kScanThreshold retirements -- the "tight bounds on wasted space" the
-// paper relies on.
+// Bounds: with P attached threads, each holding 4 traversal slots and 32
+// pin slots, at most P*(4+32) retired nodes per thread can be blocked from
+// reclamation, and a scan runs every scan_threshold() retirements -- the
+// "tight bounds on wasted space" the paper relies on. The threshold counts
+// only the traversal slots, on purpose: pins are few in practice (a pinned
+// chunk blocks reclamation only if it was retired while a transaction held
+// it), and a threshold sized for P*36 would keep more retired chunks alive
+// per thread.
 #pragma once
 
 #include <atomic>
@@ -31,6 +35,11 @@ class HazardDomain {
   // vector's hand-over-hand traversal needs at most 3 live slots (curr,
   // next, and a transiently protected down-node).
   static constexpr int kSlotsPerThread = 4;
+  // Pin slots per thread: protection that outlives one operation. One
+  // holder per thread at a time (a transaction keeps the data chunks its
+  // reads found, txn/txn.h); its size is the most accesses a generated
+  // transaction makes (dbx::TxnRequest::kMaxAccesses).
+  static constexpr int kPinSlots = 32;
 
   HazardDomain();
   ~HazardDomain();
@@ -40,9 +49,11 @@ class HazardDomain {
 
   struct ThreadRec {
     std::atomic<const void*> slots[kSlotsPerThread];
+    std::atomic<const void*> pins[kPinSlots];
     std::atomic<bool> in_use{false};
     ThreadRec* next = nullptr;  // intrusive list, append-only
     // Owner-thread-only state:
+    bool pins_claimed = false;
     struct Retired {
       void* ptr;
       OwnedDeleter deleter;  // invoked as deleter(ptr, owner)
@@ -55,6 +66,8 @@ class HazardDomain {
   // Per-(thread, domain) facade. Obtained via thread_ctx(); cheap to copy.
   class ThreadCtx {
    public:
+    static constexpr int kPinSlots = HazardDomain::kPinSlots;
+
     ThreadCtx() = default;
 
     // Operation scoping hooks (used by epoch-based policies; free here).
@@ -73,8 +86,39 @@ class HazardDomain {
       rec_->slots[i].store(nullptr, std::memory_order_release);
     }
 
+    // Clears the traversal slots only; pins stay until release_pins().
     void drop_all() noexcept {
       for (auto& s : rec_->slots) s.store(nullptr, std::memory_order_release);
+    }
+
+    // ---- Pin slots ----------------------------------------------------------
+
+    // Claims this thread's pin slots for one holder; false while another
+    // holder has them.
+    [[nodiscard]] bool claim_pins() noexcept {
+      if (rec_->pins_claimed) return false;
+      rec_->pins_claimed = true;
+      return true;
+    }
+
+    // Keeps p protected after its traversal slot drops: p must be protected
+    // (and validated) in a traversal slot now, and this copy must precede
+    // that slot's drop. No seq_cst fence or re-validation is needed: scan()
+    // reads a record's traversal slots before its pins, and a scan that no
+    // longer finds p in its traversal slot read a store made after the
+    // release fence below (the drop, or a later protect), so it
+    // synchronizes with the fence and finds p in pin slot i.
+    void pin(int i, const void* p) noexcept {
+      rec_->pins[i].store(p, std::memory_order_relaxed);
+      std::atomic_thread_fence(std::memory_order_release);
+    }
+
+    // Clears pin slots [0, n) and gives up the claim.
+    void release_pins(int n) noexcept {
+      for (int i = 0; i < n; ++i) {
+        rec_->pins[i].store(nullptr, std::memory_order_release);
+      }
+      rec_->pins_claimed = false;
     }
 
     // The paper's "HP.mark": defer deletion of p until no slot protects it.
@@ -126,8 +170,8 @@ class HazardDomain {
   friend class ThreadCtx;
 
   std::size_t scan_threshold() const noexcept {
-    // 2x the worst-case number of simultaneously protected pointers, with a
-    // floor so that tiny thread counts still batch their frees.
+    // 2x the traversal slots of all threads (pins excluded, see Bounds),
+    // with a floor so that tiny thread counts still batch their frees.
     const std::size_t h =
         rec_count_.load(std::memory_order_relaxed) * kSlotsPerThread;
     return h * 2 > 64 ? h * 2 : 64;

@@ -8,14 +8,17 @@
 // Protocol summary (2PLSF direction, NO_WAIT flavor):
 //   - Growing phase: the floor data chunk of every accessed key is
 //     write-locked in ascending key order -- a global acquisition order, so
-//     two passes can never deadlock. A key steps at most kMaxLockHops
-//     chunks right from the last held lock (MapAccess::lock_floor_from);
-//     past that, or at a chunk it cannot read, it is re-sought through the
-//     index (MapAccess::lock_floor_descent, also used for the first key),
-//     so a pass costs O(keys * log n). Nothing ever waits: a locked word
-//     on the seek path, or a locked or frozen floor chunk, aborts the pass.
-//   - Validation: optimistic reads (Txn's read set) are re-checked against
-//     the locked chunks; a mismatch aborts before anything mutates.
+//     two passes can never deadlock. A pinned read (Txn::get kept the
+//     chunk that answered it, with the word it validated at) locks that
+//     chunk with one try_upgrade from that word; success validates the
+//     read. Any other key steps at most kMaxLockHops chunks right from the
+//     last held lock (MapAccess::lock_floor_from); past that, or at a chunk
+//     it cannot read, it is re-sought through the index
+//     (MapAccess::lock_floor_descent, also used for the first key), so a
+//     pass costs O(keys * log n). Nothing ever waits: a locked word on the
+//     seek path, or a locked or frozen floor chunk, aborts the pass.
+//   - Validation: the other optimistic reads (Txn's read set) are re-read
+//     in the locked chunks; a mismatch aborts before anything mutates.
 //   - Commit: ONE commit version is reserved for the whole write set;
 //     pre-images are staged iff snapshots are pinned; each chunk absorbs its
 //     ops; every touched piece is stamped with the commit version; locks
@@ -91,9 +94,36 @@ struct MapAccess {
     return m.as_data(chunk)->vec.get(k);
   }
 
-  // ---- Lock acquisition (the 2PL growing-phase primitives) ---------------
+  // ---- Pinned reads (hazard-pointer maps) ---------------------------------
 
   using Trav = typename Map::Trav;
+
+  // Txn::get's read: lookup()'s body, which also reports the data chunk
+  // that answered and the word its read validated at. The chunk is copied
+  // into pin slot `pin` while its traversal slot still protects it, so it
+  // stays allocated, and its word safe to compare, until the Txn releases
+  // its pins.
+  static std::optional<V> lookup_pinned(Map& m, Ctx& ctx, K k, int pin,
+                                        Node** chunk, Word* word) {
+    stats::Scope stats_scope(m.stats_);
+    typename Map::OpGuard op_scope(ctx);
+    Trav at;
+    std::optional<V> v = m.lookup_at(ctx, k, at);
+    ctx.pin(pin, at.node);
+    ctx.drop_all();
+    *chunk = at.node;
+    *word = at.ver;
+    return v;
+  }
+
+  // True when this pass holds n, locked from word w: until its release a
+  // held lock's word is the word it was upgraded from plus the locked bit
+  // (the growing phase writes nothing else).
+  static bool held_from(Node* n, Word w) noexcept {
+    return n->lock.load_relaxed() == (w | Lock::kLockedBit);
+  }
+
+  // ---- Lock acquisition (the 2PL growing-phase primitives) ---------------
 
   // How a floor search for one key ended.
   enum class Seek : std::uint8_t {
@@ -330,13 +360,18 @@ class ChunkLockSet {
 };
 
 // One optimistic read to validate at commit: the key, whether it was
-// observed present, and (if present) the observed value. Entries handed to
-// LockMgr::try_commit must be sorted by key and unique.
-template <class K, class V>
+// observed present, and (if present) the observed value. A pinned read
+// also carries the data chunk that answered it, which the reader keeps
+// hazard-protected until the commit returns, and the chunk's seqlock word
+// the read validated at; chunk == nullptr means not pinned. Entries handed
+// to LockMgr::try_commit must be sorted by key and unique.
+template <class K, class V, class Node>
 struct ReadValidation {
   K key;
   bool present;
   V value;
+  Node* chunk = nullptr;
+  std::uint64_t word = 0;
 };
 
 enum class PassStatus : std::uint8_t {
@@ -359,7 +394,7 @@ struct LockMgr {
   using K = typename MA::K;
   using V = typename MA::V;
   using Op = typename MA::Op;
-  using Read = ReadValidation<K, V>;
+  using Read = ReadValidation<K, V, Node>;
 
   struct PassResult {
     PassStatus status = PassStatus::kLockConflict;
@@ -384,7 +419,11 @@ struct LockMgr {
     // (kNoRun = read-only chunk, left untouched by the commit step).
     constexpr std::uint32_t kNoRun = ~std::uint32_t{0};
     std::vector<std::pair<std::uint32_t, std::uint32_t>> runs;
+    // Per read: the position in `locked` of the chunk to re-read it in, or
+    // kPinnedValid for a pinned read whose chunk the pass locked unchanged.
+    constexpr std::uint32_t kPinnedValid = ~std::uint32_t{0};
     std::vector<std::uint32_t> read_chunk(reads.size());
+    using Seek = typename MA::Seek;
 
     auto fail = [&](PassStatus s) {
       locks.release_all();
@@ -396,36 +435,62 @@ struct LockMgr {
       return res;
     };
 
+    // Takes a chunk the pass just locked for k, verifying floor-ness under
+    // the lock: a non-head floor chunk must hold a minimum <= k (otherwise
+    // a put would break the index entry's min invariant; transient states
+    // abort instead). So every held chunk passed this for the key that
+    // took it, and so for every larger key the chunk is the floor of.
+    auto push = [&](Node* chunk, K k) -> bool {
+      locks.push(chunk);
+      runs.emplace_back(kNoRun, kNoRun);
+      return chunk->is_head ||
+             (MA::size(m, chunk) > 0 && !(k < MA::min_key(m, chunk)));
+    };
+
     // Lock k's floor chunk unless the last held lock already covers it:
     // a short step from the last held lock, else a seek through the index.
     // Returns false on a NO_WAIT conflict or a transient floor state.
     auto ensure_locked = [&](K k) -> bool {
       if (!locked.empty() && MA::covers(m, locked.back(), k)) return true;
       Node* chunk = nullptr;
-      auto s = MA::Seek::kReseek;
+      Seek s = Seek::kReseek;
       if (!locked.empty()) {
         s = MA::lock_floor_from(m, ctx, locked, MA::held_at(locked.back()),
                                 k, /*bounded=*/true, &chunk);
       }
-      if (s == MA::Seek::kReseek) {
+      if (s == Seek::kReseek) {
         s = MA::lock_floor_descent(m, ctx, locked, k, &chunk);
       }
-      if (s != MA::Seek::kLocked) return false;
-      if (locked.empty() || chunk != locked.back()) {
-        locks.push(chunk);
-        runs.emplace_back(kNoRun, kNoRun);
-        // Verify floor-ness under the lock: a non-head floor chunk must
-        // hold a minimum <= k (otherwise a put would break the index
-        // entry's min invariant; transient states abort instead). When
-        // the search settled back on the last held lock (only empty
-        // chunks up to the first min > k), it passed this for an
-        // earlier, smaller key, so min <= k holds a fortiori.
-        if (!chunk->is_head &&
-            (MA::size(m, chunk) == 0 || k < MA::min_key(m, chunk))) {
-          return false;
-        }
+      if (s != Seek::kLocked) return false;
+      // A search that settled back on the last held lock (only empty
+      // chunks up to the first min > k) needs no floor check: the chunk
+      // passed it for an earlier, smaller key.
+      return (!locked.empty() && chunk == locked.back()) || push(chunk, k);
+    };
+
+    // The fast path of a pinned read r (see ReadValidation): kLocked when
+    // r's chunk is exactly as the read saw it -- either the last held
+    // lock, locked from r's word, or now locked from r's word by
+    // try_upgrade. Then the read holds and needs no covers(), step, seek
+    // or value check. Soundness (docs/TRANSACTIONS.md, commit step 1):
+    // every change to a data chunk's keys, values, next pointer or orphan
+    // bit happens under its write lock, whose release bumps the sequence
+    // number; freeze and thaw flip only the frozen bit and write no
+    // payload. So a chunk still at r's word holds r's key exactly as r saw
+    // it, and is still the key's floor: a split, a merge, a tower split,
+    // or an insert below the successor's minimum would each have written
+    // it. covers() relies on the same argument. The pin is what keeps the
+    // chunk allocated, and its word readable, after get() returned.
+    // kReseek: r is not pinned, or its chunk changed (or is held from
+    // another word), so r takes the ordinary path. kAbort: the chunk
+    // failed push()'s floor check.
+    auto lock_pinned = [&](const Read& r) -> Seek {
+      if (r.chunk == nullptr) return Seek::kReseek;
+      if (!locked.empty() && r.chunk == locked.back()) {
+        return MA::held_from(r.chunk, r.word) ? Seek::kLocked : Seek::kReseek;
       }
-      return true;
+      if (!r.chunk->lock.try_upgrade(r.word)) return Seek::kReseek;
+      return push(r.chunk, r.key) ? Seek::kLocked : Seek::kAbort;
     };
 
     // Phase 1: growing -- ascending over the union of write-op keys and
@@ -438,14 +503,24 @@ struct LockMgr {
           oi >= n_ops ||
           (ri < reads.size() && !(ops[order[oi]].key < reads[ri].key));
       if (take_read) {
-        if (!ensure_locked(reads[ri].key)) {
+        const Seek pinned = lock_pinned(reads[ri]);
+        if (pinned == Seek::kAbort) return fail(PassStatus::kLockConflict);
+        if (pinned == Seek::kLocked) {
+          read_chunk[ri] = kPinnedValid;
+        } else if (ensure_locked(reads[ri].key)) {
+          read_chunk[ri] = static_cast<std::uint32_t>(locked.size() - 1);
+        } else {
           return fail(PassStatus::kLockConflict);
         }
-        read_chunk[ri] = static_cast<std::uint32_t>(locked.size() - 1);
         ++ri;
       } else {
         const K k = ops[order[oi]].key;
-        if (!ensure_locked(k)) return fail(PassStatus::kLockConflict);
+        // A key the ladder just handled as a read lies in the last held
+        // lock, that read's chunk, which passed the floor check above.
+        const bool read_key = ri > 0 && reads[ri - 1].key == k;
+        if (!read_key && !ensure_locked(k)) {
+          return fail(PassStatus::kLockConflict);
+        }
         Node* chunk = locked.back();
         if (ops[order[oi]].kind == mvcc::BatchOpKind::kRemove &&
             !chunk->is_head && !MA::is_orphan(chunk) &&
@@ -471,6 +546,7 @@ struct LockMgr {
     // is checked at one serialization point; any mismatch is a real
     // conflict (a committed writer got between the read and this commit).
     for (std::size_t i = 0; i < reads.size(); ++i) {
+      if (read_chunk[i] == kPinnedValid) continue;
       const std::optional<V> now =
           MA::read_in_chunk(m, locked[read_chunk[i]], reads[i].key);
       const bool still_holds = reads[i].present

@@ -4,7 +4,10 @@
 // direction the ROADMAP names):
 //   - get() reads the live map WITHOUT locks and records the observation in
 //     the transaction's read set (read-your-writes against the buffered
-//     write set first).
+//     write set first). On a hazard-pointer map it also keeps the data
+//     chunk that answered pinned, with the seqlock word it validated at:
+//     commit then locks that chunk from that word with one try_upgrade
+//     instead of finding the key again (ReadPins below).
 //   - put()/remove() only buffer intents -- nothing touches the map until
 //     commit(), which is why abort() is undo-free.
 //   - commit() hands the sorted union of read and write keys to the shared
@@ -28,9 +31,11 @@
 #pragma once
 
 #include <algorithm>
+#include <cassert>
 #include <cstddef>
 #include <cstdint>
 #include <optional>
+#include <thread>
 #include <utility>
 #include <vector>
 
@@ -46,6 +51,100 @@ enum class TxnResult : std::uint8_t {
   kValidationFail,  // a read no longer holds; the body must re-execute
 };
 
+// Whether Map's reclaimer keeps pointers protected across operations: only
+// hazard pointers do, through the pin slots of the thread's record
+// (reclaim/hazard_pointers.h). The EBR, Leak and Immediate reclaimers read
+// unpinned.
+template <class Map>
+inline constexpr bool kPinnedReads =
+    requires(typename MapAccess<Map>::Ctx c) { c.claim_pins(); };
+
+// The pin slots one Txn holds. The thread's first Txn to read from the map
+// claims them; commit(), abort() and the destructor release them. Reads
+// while another live Txn on the same thread holds them, and reads beyond
+// the slot count, are unpinned (commit validates those by value).
+template <class Map, bool = kPinnedReads<Map>>
+class ReadPins {
+ public:
+  using MA = MapAccess<Map>;
+  template <class Read>
+  std::optional<typename MA::V> read(Map& m, typename MA::K k, Read*) {
+    return m.lookup(k);
+  }
+  void release() noexcept {}
+};
+
+template <class Map>
+class ReadPins<Map, true> {
+ public:
+  using MA = MapAccess<Map>;
+  using Ctx = typename MA::Ctx;
+  static constexpr int kSlots = Ctx::kPinSlots;
+
+  ReadPins() = default;
+  ~ReadPins() { release(); }
+  // Moves transfer the claim: the moved-from object releases nothing.
+  ReadPins(ReadPins&& o) noexcept { take(o); }
+  ReadPins& operator=(ReadPins&& o) noexcept {
+    if (this != &o) {
+      release();
+      take(o);
+    }
+    return *this;
+  }
+
+  // Reads k from the map. While this object holds the pins and one is
+  // free, the data chunk that answered is pinned, and *r records it with
+  // the word the read validated at.
+  template <class Read>
+  std::optional<typename MA::V> read(Map& m, typename MA::K k, Read* r) {
+    if (!held_) {
+      ctx_ = MA::thread_ctx(m);
+      held_ = ctx_.claim_pins();
+#ifndef NDEBUG
+      thread_ = std::this_thread::get_id();
+#endif
+    }
+    assert_owner();
+    if (!held_ || used_ == kSlots) return m.lookup(k);
+    return MA::lookup_pinned(m, ctx_, k, used_++, &r->chunk, &r->word);
+  }
+
+  void release() noexcept {
+    if (!held_) return;
+    assert_owner();
+    ctx_.release_pins(used_);
+    held_ = false;
+    used_ = 0;
+  }
+
+ private:
+  void take(ReadPins& o) noexcept {
+    ctx_ = o.ctx_;
+    used_ = o.used_;
+    held_ = o.held_;
+#ifndef NDEBUG
+    thread_ = o.thread_;
+#endif
+    o.held_ = false;
+    o.used_ = 0;
+  }
+  // The pin slots belong to the claiming thread's hazard record.
+  void assert_owner() const noexcept {
+#ifndef NDEBUG
+    assert(thread_ == std::this_thread::get_id() &&
+           "a Txn is used by one thread");
+#endif
+  }
+
+  Ctx ctx_;
+  int used_ = 0;
+  bool held_ = false;
+#ifndef NDEBUG
+  std::thread::id thread_;
+#endif
+};
+
 template <class Map>
 class Txn {
  public:
@@ -59,11 +158,14 @@ class Txn {
     mvcc::BatchOpKind kind;
     bool applied = false;  // set by commit(): did presence change?
   };
-  using ReadEntry = ReadValidation<K, V>;
+  using ReadEntry = typename LockMgr<Map>::Read;
 
   explicit Txn(Map& m) : map_(&m) {}
 
   // Not copyable (owns in-flight read/write sets); movable for begin().
+  // Moves transfer the pins (ReadPins' moves do). A Txn is used by one
+  // thread, since its pins live in that thread's hazard record (asserted
+  // in debug builds), and must not outlive its map.
   Txn(const Txn&) = delete;
   Txn& operator=(const Txn&) = delete;
   Txn(Txn&&) = default;
@@ -88,8 +190,11 @@ class Txn {
         return r.value;
       }
     }
-    std::optional<V> got = map_->lookup(k);
-    reads_.push_back(ReadEntry{k, got.has_value(), got.value_or(V{})});
+    ReadEntry r{k, false, V{}};
+    const std::optional<V> got = pins_.read(*map_, k, &r);
+    r.present = got.has_value();
+    r.value = got.value_or(V{});
+    reads_.push_back(r);
     return got;
   }
 
@@ -116,8 +221,30 @@ class Txn {
   // version and each WriteEntry's `applied` flag is set. On any failure
   // the map is untouched and the transaction is dead -- re-execute the
   // whole body (run() below automates that); towered-remove demotes are
-  // handled internally since they need no re-execution.
+  // handled internally since they need no re-execution. Releases the pins.
   TxnResult commit() {
+    const TxnResult r = commit_pass();
+    pins_.release();
+    return r;
+  }
+
+  // Undo-free discard: mutations were deferred, so aborting only drops the
+  // buffered read/write sets and the pins. The handle can be reused as a
+  // fresh transaction afterwards.
+  void abort() {
+    pins_.release();
+    reads_.clear();
+    writes_.clear();
+    active_ = true;
+  }
+
+  // Post-mortem access for recorders/tests (valid until the next abort();
+  // a read's chunk pointer only while the Txn holds its pins).
+  const std::vector<ReadEntry>& reads() const noexcept { return reads_; }
+  const std::vector<WriteEntry>& writes() const noexcept { return writes_; }
+
+ private:
+  TxnResult commit_pass() {
     stats::Scope stats_scope(map_->stats_registry());
     active_ = false;
     if (writes_.empty() && reads_.empty()) {
@@ -171,24 +298,11 @@ class Txn {
     }
   }
 
-  // Undo-free discard: mutations were deferred, so aborting only drops the
-  // buffered read/write sets. The handle can be reused as a fresh
-  // transaction afterwards.
-  void abort() {
-    reads_.clear();
-    writes_.clear();
-    active_ = true;
-  }
-
-  // Post-mortem access for recorders/tests (valid until the next abort()).
-  const std::vector<ReadEntry>& reads() const noexcept { return reads_; }
-  const std::vector<WriteEntry>& writes() const noexcept { return writes_; }
-
- private:
   Map* map_;
   std::vector<ReadEntry> reads_;    // unique keys, insertion order
   std::vector<WriteEntry> writes_;  // submission order (may repeat keys)
   bool active_ = true;
+  ReadPins<Map> pins_;  // keeps reads_' chunks allocated until released
 };
 
 template <class Map>

@@ -74,6 +74,31 @@ TEST(HazardDomain, DropAllClearsEverySlot) {
   EXPECT_EQ(Tracked::live.load(), 0);
 }
 
+// A pin slot keeps a pointer protected across operations: it survives
+// scans and drop_all() until the holder releases its pins, and the first
+// scan after that frees it. One holder claims the pins at a time.
+TEST(HazardDomain, PinnedPointerSurvivesUntilReleased) {
+  HazardDomain d;
+  auto ctx = d.thread_ctx();
+  auto* obj = new Tracked();
+  ctx.protect(1, obj);
+  ASSERT_TRUE(ctx.claim_pins());
+  EXPECT_FALSE(ctx.claim_pins());
+  ctx.pin(HazardDomain::kPinSlots - 1, obj);
+  ctx.drop_all();
+  ctx.retire(obj, &Tracked::deleter);
+  d.flush();
+  ctx.drop_all();
+  d.flush();
+  EXPECT_EQ(obj->canary, 0xABCDEFu) << "pinned object was freed";
+  EXPECT_EQ(Tracked::live.load(), 1);
+  ctx.release_pins(HazardDomain::kPinSlots);
+  d.flush();
+  EXPECT_EQ(Tracked::live.load(), 0);
+  EXPECT_TRUE(ctx.claim_pins());
+  ctx.release_pins(0);
+}
+
 TEST(HazardDomain, DomainDestructorFreesPending) {
   const std::int64_t before = Tracked::live.load();
   {

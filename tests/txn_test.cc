@@ -8,17 +8,22 @@
 // with the number of keys rather than their span, that a successor another
 // commit is rewriting never counts as covering a key, and (by fault
 // injection) that a successor merged away mid-step is never entered.
+// Pinned-read tests pin the commit fast path: unchanged chunks lock from
+// the word their read saw with no seek, changed or retired ones fall back
+// to the value check, and reads without a free pin slot stay correct.
 #include <gtest/gtest.h>
 
 #include <array>
 #include <atomic>
 #include <cstdint>
 #include <optional>
+#include <string>
 #include <thread>
 #include <vector>
 
 #include "common/rng.h"
 #include "core/skip_vector.h"
+#include "core/skip_vector_epoch.h"
 #include "dbx/ycsb.h"
 #include "debug/fault_inject.h"
 #include "txn/txn.h"
@@ -48,7 +53,9 @@ TEST(Txn, EmptyTxnCommits) {
   Map m(Config::for_elements(64));
   Txn t(m);
   EXPECT_EQ(t.commit(), TxnResult::kCommitted);
-  EXPECT_EQ(counter(m, stats::Counter::kTxnCommits), 1u);
+  if (stats::kEnabled) {
+    EXPECT_EQ(counter(m, stats::Counter::kTxnCommits), 1u);
+  }
 }
 
 TEST(Txn, MultiKeyCommitIsAtomicAndVisible) {
@@ -69,7 +76,9 @@ TEST(Txn, MultiKeyCommitIsAtomicAndVisible) {
   EXPECT_TRUE(t.writes()[0].applied);
   EXPECT_TRUE(t.writes()[1].applied);
   EXPECT_TRUE(t.writes()[2].applied);
-  EXPECT_EQ(counter(m, stats::Counter::kTxnCommits), 1u);
+  if (stats::kEnabled) {
+    EXPECT_EQ(counter(m, stats::Counter::kTxnCommits), 1u);
+  }
   EXPECT_EQ(counter(m, stats::Counter::kTxnAborts), 0u);
 }
 
@@ -134,7 +143,9 @@ TEST(Txn, ValidationFailLeavesMapUntouched) {
   // The failed commit applied nothing.
   EXPECT_FALSE(m.lookup(20).has_value());
   EXPECT_EQ(m.lookup(10), std::optional<std::uint64_t>(5));
-  EXPECT_EQ(counter(m, stats::Counter::kTxnAborts), 1u);
+  if (stats::kEnabled) {
+    EXPECT_EQ(counter(m, stats::Counter::kTxnAborts), 1u);
+  }
   EXPECT_EQ(counter(m, stats::Counter::kTxnCommits), 0u);
 }
 
@@ -256,7 +267,9 @@ TEST(TxnConcurrent, HotKeyRmwLosesNoUpdates) {
   for (auto& t : threads) t.join();
 
   EXPECT_EQ(m.lookup(0), std::optional<std::uint64_t>(kThreads * kPerThread));
-  EXPECT_EQ(counter(m, stats::Counter::kTxnCommits), kThreads * kPerThread);
+  if (stats::kEnabled) {
+    EXPECT_EQ(counter(m, stats::Counter::kTxnCommits), kThreads * kPerThread);
+  }
   // Aborts and retries line up: every abort was retried by run().
   EXPECT_EQ(counter(m, stats::Counter::kTxnAborts),
             counter(m, stats::Counter::kTxnRetries));
@@ -581,6 +594,310 @@ TEST(TxnLockPass, LockedSuccessorIsNotCovered) {
   }
 }
 
+// ---- Pinned reads ----------------------------------------------------------
+
+std::size_t PinnedReads(const Txn& t) {
+  std::size_t n = 0;
+  for (const auto& r : t.reads()) n += r.chunk != nullptr;
+  return n;
+}
+
+// Single-threaded read-modify-write transactions find every chunk as their
+// reads left it: the commit locks each from its read's word, with no step
+// from the last lock and no seek (the value check and every covers() call
+// are skipped too), so it crosses no chunk at all.
+TEST(TxnPinned, UnchangedChunksCommitWithoutSeeking) {
+  constexpr std::uint64_t kRows = std::uint64_t{1} << 16;
+  Map m(Config::for_elements(kRows));
+  for (std::uint64_t k = 0; k < kRows; ++k) ASSERT_TRUE(m.insert(k, 0));
+  dbx::YcsbConfig cfg;
+  cfg.table_rows = kRows;
+  cfg.zipf_theta = 0.1;
+  cfg.accesses_per_txn = 16;
+  dbx::YcsbGenerator gen(cfg, 777);
+  dbx::TxnRequest req;
+  const std::uint64_t hops_before = counter(m, stats::Counter::kTxnLockHops);
+  std::uint64_t increments = 0;
+  for (int n = 0; n < 1000; ++n) {
+    gen.next(&req);
+    Txn t(m);
+    for (std::uint32_t i = 0; i < req.count; ++i) {
+      const auto v = t.get(req.accesses[i].key);
+      ASSERT_TRUE(v.has_value());
+      t.put(req.accesses[i].key, *v + 1);
+    }
+    ASSERT_EQ(PinnedReads(t), t.reads().size());
+    increments += t.writes().size();
+    ASSERT_EQ(t.commit(), TxnResult::kCommitted) << "#" << n;
+  }
+  EXPECT_EQ(counter(m, stats::Counter::kTxnAborts), 0u);
+  if (stats::kEnabled) {
+    EXPECT_EQ(counter(m, stats::Counter::kTxnLockHops) - hops_before, 0u);
+  }
+  std::uint64_t sum = 0;
+  m.for_each([&](std::uint64_t, std::uint64_t v) { sum += v; });
+  EXPECT_EQ(sum, increments);
+}
+
+// Reads the commit cannot validate by a pin keep the lock pass's bound:
+// with the thread's pin slots held by another Txn, every read takes the
+// step-or-seek path, and spread keys still cross a bounded number of
+// chunks each at any table size. (The same workload with pinned reads,
+// as in TxnLockPass.HopsPerKeyIndependentOfTableSize, never reaches that
+// path.)
+TEST(TxnPinned, UnpinnedReadsKeepHopBound) {
+  for (const std::uint64_t rows : {std::uint64_t{1} << 16,
+                                   std::uint64_t{1} << 18}) {
+    Map m(Config::for_elements(rows));
+    for (std::uint64_t k = 0; k < rows; ++k) ASSERT_TRUE(m.insert(k, 0));
+    Txn holder(m);
+    ASSERT_EQ(holder.get(0), std::optional<std::uint64_t>(0));
+    ASSERT_EQ(PinnedReads(holder), 1u);
+    dbx::YcsbConfig cfg;
+    cfg.table_rows = rows;
+    cfg.zipf_theta = 0.1;
+    cfg.accesses_per_txn = 16;
+    dbx::YcsbGenerator gen(cfg, 4242);
+    dbx::TxnRequest req;
+    const std::uint64_t hops_before = counter(m, stats::Counter::kTxnLockHops);
+    std::uint64_t keys = 0;
+    for (int n = 0; n < 1000; ++n) {
+      gen.next(&req);
+      Txn t(m);
+      for (std::uint32_t i = 0; i < req.count; ++i) {
+        const auto v = t.get(req.accesses[i].key);
+        ASSERT_TRUE(v.has_value());
+        if (req.accesses[i].is_write) t.put(req.accesses[i].key, *v + 1);
+      }
+      ASSERT_EQ(PinnedReads(t), 0u);
+      keys += req.count;
+      ASSERT_EQ(t.commit(), TxnResult::kCommitted) << rows << " rows, #" << n;
+    }
+    holder.abort();
+    EXPECT_EQ(counter(m, stats::Counter::kTxnAborts), 0u);
+    const double hops_per_key =
+        static_cast<double>(counter(m, stats::Counter::kTxnLockHops) -
+                            hops_before) /
+        static_cast<double>(keys);
+    EXPECT_LT(hops_per_key, 2.0 * MA::kMaxLockHops) << rows << " rows";
+  }
+}
+
+// A write to k's chunk between get(k) and commit bumps the chunk's word,
+// so the commit cannot lock it from the read's word: it finds k again and
+// compares values. Another key's update leaves k's value, and the commit
+// goes through; an update of k itself fails validation.
+TEST(TxnPinned, ChangedChunkFallsBackToValueCheck) {
+  Map m(Config::for_elements(1024));
+  for (std::uint64_t k = 0; k < 1024; ++k) ASSERT_TRUE(m.insert(k, k));
+  constexpr std::uint64_t kKey = 500;
+  for (const bool same_key : {false, true}) {
+    SCOPED_TRACE(same_key ? "k updated" : "neighbour updated");
+    Txn t(m);
+    ASSERT_EQ(t.get(kKey), std::optional<std::uint64_t>(kKey));
+    ASSERT_EQ(PinnedReads(t), 1u);
+    Chunk* chunk = t.reads()[0].chunk;
+    const std::uint64_t other = MA::read_in_chunk(m, chunk, kKey + 1)
+                                    ? kKey + 1
+                                    : kKey - 1;
+    ASSERT_TRUE(MA::read_in_chunk(m, chunk, other).has_value());
+    t.put(kKey, 1);
+    t.put(2000, 1);
+    std::thread([&] {
+      ASSERT_TRUE(m.update(same_key ? kKey : other, 7));
+    }).join();
+    ASSERT_NE(chunk->lock.load_relaxed(), t.reads()[0].word);
+    if (same_key) {
+      EXPECT_EQ(t.commit(), TxnResult::kValidationFail);
+      EXPECT_EQ(m.lookup(kKey), std::optional<std::uint64_t>(7));
+      EXPECT_FALSE(m.lookup(2000).has_value());
+    } else {
+      EXPECT_EQ(t.commit(), TxnResult::kCommitted);
+      EXPECT_EQ(m.lookup(kKey), std::optional<std::uint64_t>(1));
+      EXPECT_EQ(m.lookup(other), std::optional<std::uint64_t>(7));
+      ASSERT_TRUE(m.remove(2000));
+      ASSERT_TRUE(m.update(kKey, kKey));
+    }
+  }
+  std::string err;
+  EXPECT_TRUE(m.validate(&err)) << err;
+}
+
+// The chunk a read pinned is an orphan that a merge retires before the
+// commit. The pin keeps it allocated through a full scan, so the commit
+// can still read its (bumped) word; it then falls back, finds the key in
+// the merged chunk, and commits. Only the scan after the commit released
+// the pins frees the chunk.
+TEST(TxnPinned, PinnedChunkOutlivesMerge) {
+  Config c;
+  c.layer_count = 2;
+  c.target_data_vector_size = 4;  // capacity 8, merge threshold 7
+  c.target_index_vector_size = 4;
+  Map m(c);
+  // Head chunk {10,20,30,40}; towered chunk A {50,55}; orphan X {65}.
+  for (std::uint64_t k : {10, 20, 30, 40}) {
+    ASSERT_TRUE(m.insert_with_height(k, k, 0));
+  }
+  ASSERT_TRUE(m.insert_with_height(50, 50, 1));
+  ASSERT_TRUE(m.insert_with_height(55, 55, 0));
+  ASSERT_TRUE(m.insert_with_height(60, 60, 1));
+  ASSERT_TRUE(m.insert_with_height(65, 65, 0));
+  ASSERT_TRUE(m.remove(60));
+  auto& domain = m.reclaimer().domain();
+  domain.flush();
+  const std::uint64_t reclaimed = domain.reclaimed_count();
+
+  Txn t(m);
+  ASSERT_EQ(t.get(65), std::optional<std::uint64_t>(65));
+  ASSERT_EQ(PinnedReads(t), 1u);
+  Chunk* x = t.reads()[0].chunk;
+  ASSERT_TRUE(MA::is_orphan(x));
+  t.put(65, 650);
+
+  // A mutator routed to A merges X into it and retires X.
+  std::thread([&] { EXPECT_TRUE(m.insert_with_height(66, 66, 0)); }).join();
+  if (stats::kEnabled) {
+    EXPECT_EQ(counter(m, stats::Counter::kOrphanMerges), 1u);
+  }
+  domain.flush();
+  EXPECT_EQ(domain.reclaimed_count(), reclaimed) << "a pinned chunk was freed";
+  EXPECT_EQ(domain.retired_count(), 1u);
+
+  EXPECT_EQ(t.commit(), TxnResult::kCommitted);
+  domain.flush();
+  EXPECT_EQ(domain.reclaimed_count(), reclaimed + 1);
+  EXPECT_EQ(domain.retired_count(), 0u);
+  EXPECT_EQ(m.lookup(65), std::optional<std::uint64_t>(650));
+  EXPECT_EQ(m.lookup(66), std::optional<std::uint64_t>(66));
+  const auto rep = m.validate_structure();
+  EXPECT_TRUE(rep.ok()) << rep.to_string();
+}
+
+// The pin slots belong to one Txn per thread at a time: a second live Txn
+// reads unpinned until the first releases them, and both commit.
+TEST(TxnPinned, SecondTxnOnThreadReadsUnpinned) {
+  Map m(Config::for_elements(1024));
+  for (std::uint64_t k = 0; k < 1024; ++k) ASSERT_TRUE(m.insert(k, k));
+  Txn first(m);
+  Txn second(m);
+  ASSERT_EQ(first.get(1), std::optional<std::uint64_t>(1));
+  ASSERT_EQ(second.get(900), std::optional<std::uint64_t>(900));
+  EXPECT_EQ(PinnedReads(first), 1u);
+  EXPECT_EQ(PinnedReads(second), 0u);
+  first.put(1, 10);
+  second.put(900, 9000);
+  EXPECT_EQ(first.commit(), TxnResult::kCommitted);
+  // Released by the commit: the second Txn's next read claims the pins.
+  ASSERT_EQ(second.get(901), std::optional<std::uint64_t>(901));
+  EXPECT_EQ(PinnedReads(second), 1u);
+  second.put(901, 9010);
+  EXPECT_EQ(second.commit(), TxnResult::kCommitted);
+  EXPECT_EQ(m.lookup(1), std::optional<std::uint64_t>(10));
+  EXPECT_EQ(m.lookup(900), std::optional<std::uint64_t>(9000));
+  EXPECT_EQ(m.lookup(901), std::optional<std::uint64_t>(9010));
+}
+
+// Reads past the last pin slot are unpinned and validated by value; an
+// update of an unpinned key still fails the commit.
+TEST(TxnPinned, MoreReadsThanPinSlots) {
+  constexpr std::uint64_t kReads = 40;
+  constexpr std::size_t kSlots = reclaim::HazardDomain::kPinSlots;
+  Map m(Config::for_elements(4096));
+  for (std::uint64_t k = 0; k < 4096; ++k) ASSERT_TRUE(m.insert(k, k));
+  for (const bool conflict : {true, false}) {
+    Txn t(m);
+    for (std::uint64_t i = 0; i < kReads; ++i) {
+      const std::uint64_t k = i * 100;
+      ASSERT_EQ(t.get(k), std::optional<std::uint64_t>(k));
+      t.put(k, k + 1);
+    }
+    ASSERT_EQ(t.reads().size(), kReads);
+    EXPECT_EQ(PinnedReads(t), kSlots);
+    for (std::size_t i = 0; i < kReads; ++i) {
+      EXPECT_EQ(t.reads()[i].chunk != nullptr, i < kSlots) << "read " << i;
+    }
+    if (conflict) {
+      std::thread([&] { ASSERT_TRUE(m.update((kReads - 1) * 100, 5)); })
+          .join();
+      EXPECT_EQ(t.commit(), TxnResult::kValidationFail);
+      EXPECT_EQ(m.lookup(0), std::optional<std::uint64_t>(0));
+      ASSERT_TRUE(m.update((kReads - 1) * 100, (kReads - 1) * 100));
+    } else {
+      EXPECT_EQ(t.commit(), TxnResult::kCommitted);
+    }
+  }
+  for (std::uint64_t i = 0; i < kReads; ++i) {
+    EXPECT_EQ(m.lookup(i * 100), std::optional<std::uint64_t>(i * 100 + 1));
+  }
+}
+
+// Moving a Txn moves its pins: the moved-from handle releases nothing, so
+// another Txn still reads unpinned until the moved-to one commits.
+TEST(TxnPinned, MovedTxnKeepsItsPins) {
+  Map m(Config::for_elements(1024));
+  for (std::uint64_t k = 0; k < 1024; ++k) ASSERT_TRUE(m.insert(k, k));
+  auto unpinned_read = [&](std::uint64_t k) {
+    Txn probe(m);
+    EXPECT_EQ(probe.get(k), std::optional<std::uint64_t>(k));
+    return PinnedReads(probe) == 0;
+  };
+  std::optional<Txn> moved;
+  {
+    Txn t(m);
+    ASSERT_EQ(t.get(3), std::optional<std::uint64_t>(3));
+    t.put(3, 30);
+    moved.emplace(std::move(t));  // move construction
+  }
+  EXPECT_TRUE(unpinned_read(600));
+  Txn assigned(m);
+  assigned = std::move(*moved);  // move assignment
+  moved.reset();
+  EXPECT_TRUE(unpinned_read(600));
+  ASSERT_EQ(assigned.get(4), std::optional<std::uint64_t>(4));
+  assigned.put(4, 40);
+  EXPECT_EQ(PinnedReads(assigned), 2u);
+  EXPECT_EQ(assigned.commit(), TxnResult::kCommitted);
+  EXPECT_FALSE(unpinned_read(600));
+  EXPECT_EQ(m.lookup(3), std::optional<std::uint64_t>(30));
+  EXPECT_EQ(m.lookup(4), std::optional<std::uint64_t>(40));
+}
+
+// Hazard-pointer maps pin their reads, whether a descent or the hash
+// sidecar answers them; the EBR, Leak and Immediate reclaimers read
+// unpinned. Either way the commit validates every read.
+template <class M>
+void RmwCommitsAndStaleReadFails(bool pinned) {
+  EXPECT_EQ(txn::kPinnedReads<M>, pinned);
+  M m(Config::for_elements(256));
+  for (std::uint64_t k = 0; k < 64; ++k) ASSERT_TRUE(m.insert(k, k));
+  for (int round = 0; round < 2; ++round) {
+    txn::Txn<M> t(m);
+    for (const std::uint64_t k : {5, 40}) {
+      const auto v = t.get(k);
+      ASSERT_TRUE(v.has_value());
+      t.put(k, *v + 1);
+    }
+    for (const auto& r : t.reads()) EXPECT_EQ(r.chunk != nullptr, pinned);
+    EXPECT_EQ(t.commit(), TxnResult::kCommitted);
+  }
+  txn::Txn<M> t(m);
+  ASSERT_EQ(t.get(5), std::optional<std::uint64_t>(7));
+  t.put(6, 0);
+  ASSERT_TRUE(m.update(5, 0));
+  EXPECT_EQ(t.commit(), TxnResult::kValidationFail);
+  EXPECT_EQ(m.lookup(6), std::optional<std::uint64_t>(6));
+  EXPECT_EQ(m.lookup(40), std::optional<std::uint64_t>(42));
+}
+
+TEST(TxnPinned, OnlyHazardPointerMapsPin) {
+  using K = std::uint64_t;
+  RmwCommitsAndStaleReadFails<Map>(true);
+  RmwCommitsAndStaleReadFails<SkipVectorHash<K, K>>(true);
+  RmwCommitsAndStaleReadFails<SkipVectorEpoch<K, K>>(false);
+  RmwCommitsAndStaleReadFails<SkipVectorLeak<K, K>>(false);
+  RmwCommitsAndStaleReadFails<SkipVectorSeq<K, K>>(false);
+}
+
 // ---- Fault injection -------------------------------------------------------
 
 using debug::FaultInjector;
@@ -613,10 +930,11 @@ TEST(TxnInjection, SuccessorMergedMidStep) {
     EXPECT_TRUE(m.remove(60));
     EXPECT_EQ(counter(m, stats::Counter::kOrphanMerges), 0u);
 
-    // The pass locks the head chunk for 10 after reading A's minimum (hit
-    // 1). For 65 it steps head -> A (hit 2) and reads X (hit 3). At hit 3
-    // a mutator whose descent routes straight to A merges X into A,
-    // retiring X.
+    // The pass seeks the head chunk for 10 and locks it after reading A's
+    // minimum (hit 1); 10 is a blind write, since a pinned read would lock
+    // the head directly, with no step. For 65 it steps head -> A (hit 2)
+    // and reads X (hit 3). At hit 3 a mutator whose descent routes
+    // straight to A merges X into A, retiring X.
     FaultInjector::instance().set_handler([&](Point p, std::uint64_t hit) {
       if (p != Point::kTxnLockStep || hit != 3) return;
       std::thread merger(
@@ -624,7 +942,7 @@ TEST(TxnInjection, SuccessorMergedMidStep) {
       merger.join();
     });
     Txn t(m);
-    EXPECT_EQ(t.get(10), std::optional<std::uint64_t>(10));
+    t.put(10, 10);
     t.put(65, 650);
     EXPECT_EQ(t.commit(), TxnResult::kCommitted);
     const HitSnapshot snap = FaultInjector::instance().hit_snapshot();
