@@ -70,8 +70,10 @@ struct BatchOp {
 // of the chain head and read with acquire loads; the payload is never
 // modified after publication, so plain (non-atomic) arrays are safe. The
 // only post-publication write is chain truncation during pruning, which
-// stores through the atomic `next` of a record that no active reader can be
-// positioned past (see docs/SNAPSHOTS.md for the argument).
+// stores through the atomic `next` of the cut record. The records it
+// detaches may still be under a walker that loaded the chain before a fold,
+// so they are retired and outlive every walk that could reach them
+// (docs/SNAPSHOTS.md, "Pruning").
 template <class K, class V>
 struct VersionRecord {
   static_assert(std::is_trivially_copyable_v<K> &&

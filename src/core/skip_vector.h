@@ -66,6 +66,7 @@
 #include "core/mvcc.h"
 #include "debug/audit.h"
 #include "debug/fault_inject.h"
+#include "reclaim/epoch.h"
 #include "reclaim/reclaimer.h"
 #include "stats/stats.h"
 #include "sync/backoff.h"
@@ -90,6 +91,7 @@ class SkipVectorMap {
   using Word = Lock::Word;
   using Ctx = typename Reclaimer::ThreadCtx;
   using VRecord = mvcc::VersionRecord<K, V>;
+  using RecordCtx = reclaim::EpochDomain::ThreadCtx;
 
   // The transaction layer's privileged bridge (txn/lock_mgr.h): the NO_WAIT
   // 2PL growing phase and the shared commit pass live in sv::txn and reach
@@ -600,6 +602,7 @@ class SkipVectorMap {
     stats::count(stats::Counter::kSnapshotScans);
     Ctx ctx = reclaimer_.thread_ctx();
     OpGuard op_scope(ctx);
+    RecordCtx walks = record_epochs_.thread_ctx();
     sync::Backoff backoff;
     // The cursor (and visited count) live OUTSIDE the retry loop: a
     // speculative-descent failure re-positions but never re-emits, so the
@@ -608,8 +611,8 @@ class SkipVectorMap {
     bool emitted = false;
     K last{};
     for (;;) {
-      if (try_range_at(ctx, view.version_, lo, hi, fn, visited, emitted,
-                       last)) {
+      if (try_range_at(ctx, walks, view.version_, lo, hi, fn, visited,
+                       emitted, last)) {
         if (visited > 0) {
           stats::count(stats::Counter::kRangeKeysVisited, visited);
         }
@@ -1189,6 +1192,10 @@ class SkipVectorMap {
   static void reclaim_node(void* p, void* self) {
     static_cast<SkipVectorMap*>(self)->free_node(static_cast<NodeBase*>(p));
   }
+  // Owned deleter for a run of pruned records (retire_records).
+  static void reclaim_records(void* p, void* self) {
+    static_cast<SkipVectorMap*>(self)->free_chain(static_cast<VRecord*>(p));
+  }
 
   template <class T>
   static void write_pod(std::ostream& out, const T& v) {
@@ -1290,6 +1297,15 @@ class SkipVectorMap {
     OpGuard(const OpGuard&) = delete;
     OpGuard& operator=(const OpGuard&) = delete;
     Ctx& ctx;
+  };
+  // RAII scope of one version-chain walk in record_epochs_: records that a
+  // concurrent prune detaches stay allocated until it ends (maybe_prune).
+  struct ChainWalk {
+    explicit ChainWalk(RecordCtx& c) noexcept : ctx(c) { ctx.begin_op(); }
+    ~ChainWalk() { ctx.leave(); }
+    ChainWalk(const ChainWalk&) = delete;
+    ChainWalk& operator=(const ChainWalk&) = delete;
+    RecordCtx& ctx;
   };
   static int other_slot(int s) noexcept { return s ^ 1; }
 
@@ -2293,9 +2309,12 @@ class SkipVectorMap {
 
   // Truncate chain records no registered snapshot can reach: keep every
   // record newer than the registry floor plus the newest record at-or-below
-  // it. A walker pinned at v >= floor targets the newest record <= v, which
-  // is always inside the kept prefix, and its transit hops only touch
-  // records with version > v -- so the detached tail is freed directly.
+  // it. A walker that loads the chain head now stops inside the kept
+  // prefix, but one that loaded it before a fold may not: fold_split and
+  // fold_merge prepend a copy of every retained version ahead of the old
+  // chain, so the cut lands among the copies and detaches the old chain
+  // whole -- the records that walker stands on. The detached tail is
+  // therefore retired, not freed (retire_records).
   void maybe_prune(NodeBase* n) {
     VRecord* head = n->vchain.load(std::memory_order_relaxed);
     std::size_t len = 0;
@@ -2310,25 +2329,35 @@ class SkipVectorMap {
       // future snapshot is served by pre-images pushed by later commits
       // (its registration precedes, in seq_cst order, every commit newer
       // than its pinned version).
-      free_chain(n->vchain.exchange(nullptr, std::memory_order_relaxed));
+      retire_records(n->vchain.exchange(nullptr, std::memory_order_relaxed));
       return;
     }
     for (VRecord* r = head; r != nullptr;
          r = r->next.load(std::memory_order_relaxed)) {
       if (r->version <= floor) {
-        free_chain(r->next.exchange(nullptr, std::memory_order_relaxed));
+        retire_records(r->next.exchange(nullptr, std::memory_order_relaxed));
         return;
       }
     }
   }
 
+  // Hands a detached run of records to record_epochs_. It is freed once
+  // every chain walk that could have reached it has ended; no view has to
+  // be released first (docs/SNAPSHOTS.md, "Pruning").
+  void retire_records(VRecord* run) {
+    if (run == nullptr) return;
+    record_epochs_.thread_ctx().defer(run, &reclaim_records, this);
+  }
+
   // Split fold: partition `left`'s chain across the new boundary so each
   // side's records describe only its own key sub-range at every retained
   // version. Filtered copies are PREPENDED to left's old chain (same
-  // version sequence): in-flight walkers on old records stay safe, new
-  // walkers stop in the filtered prefix, and the shadowed tail dies via
-  // pruning or with the node. `sib` is unpublished (or locked), so its
-  // chain is written fresh. Caller holds left's write lock.
+  // version sequence): new walkers stop in the filtered prefix, and
+  // in-flight walkers keep reading the old records, which stay allocated
+  // until those walks end even when the prune below detaches them
+  // (maybe_prune); otherwise the shadowed tail dies with the node. `sib` is
+  // unpublished (or locked), so its chain is written fresh. Caller holds
+  // left's write lock.
   void fold_split(NodeBase* left, NodeBase* sib, K bound) {
     VRecord* old_head = left->vchain.load(std::memory_order_relaxed);
     if (old_head == nullptr) return;
@@ -2443,8 +2472,8 @@ class SkipVectorMap {
   // has been merged away under the reader (*retired set), its folded
   // history lives on the absorbing left sibling and the caller must
   // re-position from its key cursor.
-  void resolve_chunk_at(NodeBase* n, std::uint64_t v, K lo, K hi,
-                        std::vector<std::pair<K, V>>& out,
+  void resolve_chunk_at(RecordCtx& walks, NodeBase* n, std::uint64_t v, K lo,
+                        K hi, std::vector<std::pair<K, V>>& out,
                         NodeBase** next_out, bool* has_min, K* min_out,
                         bool* retired) {
     for (std::size_t attempt = 0;; ++attempt) {
@@ -2479,9 +2508,30 @@ class SkipVectorMap {
         *retired = true;  // n was merged away mid-visit: re-position
         return;
       }
-      VRecord* r = n->vchain.load(std::memory_order_acquire);
-      while (r != nullptr && r->version > v) {
-        r = r->next.load(std::memory_order_acquire);
+      bool any = false;
+      K mn{};
+      {
+        // Records are read only inside the walk's epoch and copied out. The
+        // seq_cst head load pairs with the fence in EpochDomain::defer: a
+        // pruner either sees this walk or this load sees its fold.
+        ChainWalk walk(walks);
+        const VRecord* r = n->vchain.load(std::memory_order_seq_cst);
+        SV_FAULT_POINT(debug::Point::kVersionWalk);
+        while (r != nullptr && r->version > v) {
+          r = r->next.load(std::memory_order_acquire);
+        }
+        // r == nullptr: this chunk's sub-range held nothing at v (the chunk
+        // was born after v, or was empty at every retained version <= v).
+        if (r != nullptr) {
+          for (std::uint32_t i = 0; i < r->count; ++i) {
+            const K k = r->keys()[i];
+            if (!any || k < mn) {
+              mn = k;
+              any = true;
+            }
+            if (!(k < lo) && !(hi < k)) out.emplace_back(k, r->vals()[i]);
+          }
+        }
       }
       NodeBase* next2 = n->next.load(std::memory_order_acquire);
       if (next2 == retired_next()) {
@@ -2489,20 +2539,6 @@ class SkipVectorMap {
         return;
       }
       if (next1 != next2) continue;
-      bool any = false;
-      K mn{};
-      if (r != nullptr) {
-        for (std::uint32_t i = 0; i < r->count; ++i) {
-          const K k = r->keys()[i];
-          if (!any || k < mn) {
-            mn = k;
-            any = true;
-          }
-          if (!(k < lo) && !(hi < k)) out.emplace_back(k, r->vals()[i]);
-        }
-      }
-      // r == nullptr: this chunk's sub-range held nothing at v (the chunk
-      // was born after v, or was empty at every retained version <= v).
       *next_out = next2;
       *has_min = any;
       if (any) *min_out = mn;
@@ -2519,8 +2555,8 @@ class SkipVectorMap {
   // contract: kSnapshotScanRestarts (emission thrown away and rebuilt)
   // stays zero by construction.
   template <class Fn>
-  bool try_range_at(Ctx& ctx, std::uint64_t v, K lo, K hi, Fn& fn,
-                    std::size_t& visited, bool& emitted, K& last) {
+  bool try_range_at(Ctx& ctx, RecordCtx& walks, std::uint64_t v, K lo, K hi,
+                    Fn& fn, std::size_t& visited, bool& emitted, K& last) {
     for (;;) {
       // Position: descend to the live floor chunk of the first key still
       // needed. Safe at any pinned v <= now: a chunk's historical
@@ -2546,7 +2582,7 @@ class SkipVectorMap {
         bool has_min = false;
         bool node_retired = false;
         K mn{};
-        resolve_chunk_at(node, v, lo, hi, buf, &next, &has_min, &mn,
+        resolve_chunk_at(walks, node, v, lo, hi, buf, &next, &has_min, &mn,
                          &node_retired);
         if (node_retired) {
           // The chunk under us was merged away; its folded history moved
@@ -2729,9 +2765,9 @@ class SkipVectorMap {
   // ---- Members ----------------------------------------------------------------
 
   Config config_;
-  // alloc_ is declared before reclaimer_ on purpose: the reclaimer's
-  // destructor frees pending retirements *through* the allocator, so the
-  // allocator must be destroyed after it (reverse declaration order).
+  // alloc_ is declared before reclaimer_ and record_epochs_ on purpose:
+  // their destructors free pending retirements *through* the allocator, so
+  // the allocator must be destroyed after them (reverse declaration order).
   Alloc alloc_;
   Reclaimer reclaimer_;
   // Hash sidecar hint table (empty with NoIndex). Holds no node ownership:
@@ -2748,6 +2784,13 @@ class SkipVectorMap {
   // writers consult before discarding pre-images.
   std::atomic<std::uint64_t> commit_version_{0};
   mvcc::SnapshotRegistry snaps_;
+  // Version records detached by maybe_prune wait here until every chain
+  // walk that could still reach them has ended. Only resolve_chunk_at's
+  // chain path enters this domain and only prunes retire into it, under
+  // every Reclaimer policy alike: a hazard pointer protects a chunk, not
+  // the records its chain walk crosses. Last: it is cold, and the hot
+  // members above keep their cache-line placement.
+  reclaim::EpochDomain record_epochs_;
 };
 
 // Convenience aliases matching the paper's evaluated variants. Chunk

@@ -1,7 +1,6 @@
 // SkipVectorMap instantiated with epoch-based reclamation (SV-EBR): the
 // deferred-reclamation alternative the paper contrasts hazard pointers
-// against. Separate header so the core stays independent of the epoch
-// machinery.
+// against.
 //
 // Stats note (src/stats/stats.h): epoch retire/advance/reclaim events are
 // attributed to whichever map's stats::Scope is active when end_op() runs --
@@ -10,9 +9,9 @@
 //
 // Snapshot note (docs/SNAPSHOTS.md): the multiversioned snapshot and
 // apply_batch API is reclaimer-independent, so these aliases inherit it
-// unchanged. Version-chain records are freed directly under chunk locks or
-// with the owning node (never through the epoch domain), so no extra
-// retire traffic is attributed here.
+// unchanged. Pruned version-chain records go through every map's own
+// records-only epoch domain, never through this node reclaimer, and are not
+// counted as retire traffic here.
 #pragma once
 
 #include "core/skip_vector.h"

@@ -52,6 +52,8 @@ enum class Point : std::uint8_t {
                     // the new chunk boundary (locks held)
   kTxnLockStep,     // lock_floor_from: successor validated as linked, its
                     // lock word not yet read
+  kVersionWalk,     // resolve_chunk_at: version-chain head loaded, walk not
+                    // yet started (a fold + prune here detaches the chain)
   kCount
 };
 
@@ -71,6 +73,7 @@ inline const char* point_name(Point p) noexcept {
     case Point::kBatchCommit: return "batch-commit";
     case Point::kVersionFold: return "version-fold";
     case Point::kTxnLockStep: return "txn-lock-step";
+    case Point::kVersionWalk: return "version-walk";
     default: return "?";
   }
 }

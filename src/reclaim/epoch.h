@@ -9,6 +9,11 @@
 // become unreachable to new operations immediately and free once the global
 // epoch reaches e+2. Unlike hazard pointers, a single stalled reader blocks
 // ALL reclamation -- the unbounded worst case the paper's design avoids.
+//
+// Besides the Reclaimer policy, the skip vector keeps one private domain for
+// pruned version-chain records (docs/SNAPSHOTS.md, "Pruning"): its readers
+// bracket each chain walk with begin_op()/leave(), and its pruners hand
+// detached records over with defer(), which also advances the epoch.
 #pragma once
 
 #include <atomic>
@@ -71,8 +76,7 @@ class EpochDomain {
     }
 
     void end_op() noexcept {
-      rec_->announced.store(ThreadRec::kQuiescent,
-                            std::memory_order_release);
+      leave();
       if (++rec_->ops_since_advance >= kAdvancePeriod) {
         rec_->ops_since_advance = 0;
         domain_->try_advance(*rec_);
@@ -81,9 +85,7 @@ class EpochDomain {
 
     void retire(void* p, OwnedDeleter deleter, void* owner) {
       stats::count(stats::Counter::kRetired);
-      const std::uint64_t e =
-          domain_->global_epoch_.load(std::memory_order_acquire);
-      rec_->bags[e % 3].push_back({p, deleter, owner});
+      push(p, deleter, owner);
     }
 
     // Legacy ownerless form (tests, simple users).
@@ -91,9 +93,44 @@ class EpochDomain {
       retire(p, &invoke_unowned, reinterpret_cast<void*>(deleter));
     }
 
+    // Private-domain interface (see the header comment) -----------------
+
+    // end_op() without its periodic advance, for threads that only read in
+    // this domain and leave advancing to the threads that retire.
+    void leave() noexcept {
+      rec_->announced.store(ThreadRec::kQuiescent,
+                            std::memory_order_release);
+    }
+
+    // Retires p without the node counters (retired / reclaimed count the
+    // Reclaimer policy's nodes only), and every kAdvancePeriod retirements
+    // tries to advance, so a thread that retires but never calls end_op()
+    // still drains its own bags. The caller's own announcement stays as it
+    // is: called between begin_op() and leave(), it keeps blocking the
+    // advance that would free what that section can still reach. The fence
+    // orders the caller's unlinking stores before the epoch load that tags
+    // p and before every later announcement scan: a reader that loads the
+    // unlinked-from pointer with seq_cst after announcing either sees the
+    // unlink, or announced no later than p's tag and is seen by the scan.
+    void defer(void* p, OwnedDeleter deleter, void* owner) {
+      std::atomic_thread_fence(std::memory_order_seq_cst);
+      push(p, deleter, owner);
+      if (++rec_->ops_since_advance >= kAdvancePeriod) {
+        rec_->ops_since_advance = 0;
+        domain_->advance(*rec_);
+      }
+    }
+
    private:
     friend class EpochDomain;
     ThreadCtx(EpochDomain* d, ThreadRec* r) : domain_(d), rec_(r) {}
+
+    void push(void* p, OwnedDeleter deleter, void* owner) {
+      const std::uint64_t e =
+          domain_->global_epoch_.load(std::memory_order_acquire);
+      rec_->bags[e % 3].push_back({p, deleter, owner});
+    }
+
     EpochDomain* domain_ = nullptr;
     ThreadRec* rec_ = nullptr;
   };
@@ -123,39 +160,49 @@ class EpochDomain {
     return reclaimed_.load(std::memory_order_relaxed);
   }
 
-  // Try to advance the epoch and free this thread's expired bag. Called
-  // periodically from end_op; also usable directly in tests.
+  // Try to advance the epoch and free this thread's expired bag, counting
+  // both (epoch_advances, reclaimed). Called periodically from end_op; also
+  // usable directly in tests.
   void try_advance(ThreadRec& rec) {
+    const Advance a = advance(rec);
+    if (a.advanced) stats::count(stats::Counter::kEpochAdvances);
+    if (a.freed > 0) stats::count(stats::Counter::kReclaimed, a.freed);
+  }
+
+ private:
+  static constexpr std::uint64_t kAdvancePeriod = 128;
+
+  struct Advance {
+    bool advanced;
+    std::uint64_t freed;
+  };
+
+  // try_advance without the counters.
+  Advance advance(ThreadRec& rec) {
     const std::uint64_t e = global_epoch_.load(std::memory_order_acquire);
     {
       std::lock_guard<std::mutex> lk(mu_);
       for (const auto& r : recs_) {
         const std::uint64_t a = r->announced.load(std::memory_order_seq_cst);
-        if (a != ThreadRec::kQuiescent && a < e) return;  // straggler
+        if (a != ThreadRec::kQuiescent && a < e) {
+          return {false, 0};  // straggler
+        }
       }
     }
     // All active threads are in epoch e: advancing to e+1 is safe, and
     // afterwards the bag holding epoch (g-2) retirees -- index (g+1) % 3 for
     // the current global g -- has no remaining readers.
     std::uint64_t expected = e;
-    if (global_epoch_.compare_exchange_strong(expected, e + 1,
-                                              std::memory_order_acq_rel)) {
-      stats::count(stats::Counter::kEpochAdvances);
-    }
+    const bool advanced = global_epoch_.compare_exchange_strong(
+        expected, e + 1, std::memory_order_acq_rel);
     auto& bag = rec.bags[(global_epoch_.load(std::memory_order_acquire) + 1) %
                          3];
-    std::uint64_t freed = 0;
-    for (auto& r : bag) {
-      r.deleter(r.ptr, r.owner);
-      ++freed;
-    }
+    const std::uint64_t freed = bag.size();
+    for (auto& r : bag) r.deleter(r.ptr, r.owner);
     bag.clear();
-    if (freed > 0) stats::count(stats::Counter::kReclaimed, freed);
     reclaimed_.fetch_add(freed, std::memory_order_relaxed);
+    return {advanced, freed};
   }
-
- private:
-  static constexpr std::uint64_t kAdvancePeriod = 128;
 
   static std::uint64_t next_serial() {
     static std::atomic<std::uint64_t> c{1};

@@ -12,19 +12,25 @@
 //      merge after the pin are invisible.
 //   3. Batch atomicity: apply_batch flips a batch-wide invariant in one
 //      step; no snapshot, at any version, observes a mixed state.
+//   4. Record lifetime: a chain walk parked across a fold and the prune
+//      that detaches its chain still reads live records (the deterministic
+//      fault-injection cases at the end).
 #include <gtest/gtest.h>
 
+#include <array>
 #include <atomic>
 #include <chrono>
 #include <cstdint>
 #include <string>
 #include <thread>
 #include <type_traits>
+#include <utility>
 #include <vector>
 
 #include "common/rng.h"
 #include "core/skip_vector.h"
 #include "core/skip_vector_epoch.h"
+#include "debug/fault_inject.h"
 #include "stats/stats.h"
 
 #if defined(__SANITIZE_ADDRESS__)
@@ -370,6 +376,164 @@ TYPED_TEST(SnapshotStressTest, RegistryFullFallsBackUnversioned) {
   held.clear();       // releases every slot
   auto again = m.snapshot_at();
   EXPECT_TRUE(again.versioned());
+}
+
+// ---- Fault injection: a chain walk parked across a fold and its prune ------
+
+using debug::FaultInjector;
+using debug::Point;
+using HitSnapshot =
+    std::array<std::uint64_t, static_cast<std::size_t>(Point::kCount)>;
+using Pairs = std::vector<std::pair<std::uint64_t, std::uint64_t>>;
+
+// Two layers, chunk capacity 8: a tall insert splits its floor chunk on
+// demand, and an orphan merges into its left neighbour at combined size < 7.
+Config InjectionCfg() {
+  Config c;
+  c.layer_count = 2;
+  c.target_data_vector_size = 4;
+  c.target_index_vector_size = 4;
+  return c;
+}
+
+// Updates k `records` times, each under a fresh pin that needs the
+// pre-image: every update pushes one record onto k's chunk chain.
+template <class Map>
+void GrowChain(Map& m, std::uint64_t k, std::uint64_t records) {
+  for (std::uint64_t i = 1; i <= records; ++i) {
+    auto pin = m.snapshot_at();
+    EXPECT_TRUE(m.update(k, k + i));
+  }
+}
+
+// Tall inserts of kRetiringSplits ascending keys from 100, above every other
+// key. Each splits the last chunk, whose chain (copies made by the split
+// before) reaches below the pin, so each fold's prune retires that chunk's
+// old chain: more retirements than two advance periods of the record domain
+// (EpochDomain advances every 128). Were a parked walk not pinned, the epoch
+// would pass it and free the chain it is reading.
+constexpr std::uint64_t kRetiringSplits = 300;
+
+template <class Map>
+void RetireChains(Map& m) {
+  for (std::uint64_t k = 100; k < 100 + kRetiringSplits; ++k) {
+    EXPECT_TRUE(m.insert_with_height(k, k, 1));
+  }
+}
+
+struct Parked {
+  Pairs out;          // what the scan emitted
+  HitSnapshot trace;  // injection-point hits during the scan
+};
+
+// Scans the whole map at `view`, parking the scan at its first chain walk
+// (chain head loaded, no record read yet) while `writer` runs on another
+// thread.
+template <class Map, class Writer>
+Parked ParkedScan(Map& m, const typename Map::SnapshotView& view,
+                  Writer writer) {
+  FaultInjector::instance().clear();
+  FaultInjector::instance().set_handler([&](Point p, std::uint64_t hit) {
+    if (p != Point::kVersionWalk || hit != 1) return;
+    std::thread t(writer);
+    t.join();
+  });
+  Parked r;
+  m.range_for_each_at(view, 0, 1000, [&](std::uint64_t k, std::uint64_t v) {
+    r.out.emplace_back(k, v);
+  });
+  r.trace = FaultInjector::instance().hit_snapshot();
+  FaultInjector::instance().clear();
+  return r;
+}
+
+// The parked walk stands on the chunk holding 10..40, whose chain has five
+// records. A split at 25 prepends five copies per side, and its prune
+// detaches the old chain under the walk. Three more splits inside the old
+// key range, then RetireChains, each retire another old chain.
+TYPED_TEST(SnapshotStressTest, ChainWalkSurvivesSplitFold) {
+  constexpr bool kLeaks = TestFixture::kLeaksByDesign;
+  auto run_once = [] {
+    typename TestFixture::Map m(InjectionCfg());
+    for (std::uint64_t k : {10, 20, 30, 40}) {
+      EXPECT_TRUE(m.insert_with_height(k, k, 0));
+    }
+    auto view = m.snapshot_at();
+    EXPECT_TRUE(view.versioned());
+    GrowChain(m, 10, 5);
+    const auto [out, trace] = ParkedScan(m, view, [&m] {
+      ThreadLeakGuard guard(kLeaks);
+      EXPECT_TRUE(m.insert_with_height(25, 25, 1));
+      EXPECT_TRUE(m.insert_with_height(15, 15, 1));
+      EXPECT_TRUE(m.insert_with_height(35, 35, 1));
+      EXPECT_TRUE(m.insert_with_height(12, 12, 1));
+      RetireChains(m);
+    });
+
+    EXPECT_EQ(out, (Pairs{{10, 10}, {20, 20}, {30, 30}, {40, 40}}));
+    // The parked chunk twice (its successor moved), then every split-off
+    // chunk, each resolved from its chain.
+    EXPECT_EQ(trace[static_cast<std::size_t>(Point::kVersionWalk)],
+              6 + kRetiringSplits);
+    if constexpr (stats::kEnabled) {
+      EXPECT_EQ(m.stats_registry().snapshot()[stats::Counter::kVersionFolds],
+                4 + kRetiringSplits);
+    }
+    const auto rep = m.validate_structure();
+    EXPECT_TRUE(rep.ok()) << rep.to_string();
+    return trace;
+  };
+  const HitSnapshot a = run_once();
+  const HitSnapshot b = run_once();
+  EXPECT_EQ(a, b) << "the interleaving must replay with an identical trace";
+}
+
+// As above, but the walk stands on chunk L {50, 55} and the writer's
+// insert of 66 merges the orphan X {65} into it (removing 60 stripped X's
+// tower): fold_merge prepends one union record per retained version, and
+// its prune detaches L's old chain. Three splits of L's key range, then
+// RetireChains, each retire another old chain.
+TYPED_TEST(SnapshotStressTest, ChainWalkSurvivesMergeFold) {
+  constexpr bool kLeaks = TestFixture::kLeaksByDesign;
+  auto run_once = [] {
+    typename TestFixture::Map m(InjectionCfg());
+    for (std::uint64_t k : {10, 20}) {
+      EXPECT_TRUE(m.insert_with_height(k, k, 0));
+    }
+    EXPECT_TRUE(m.insert_with_height(50, 50, 1));
+    EXPECT_TRUE(m.insert_with_height(55, 55, 0));
+    EXPECT_TRUE(m.insert_with_height(60, 60, 1));
+    EXPECT_TRUE(m.insert_with_height(65, 65, 0));
+    EXPECT_TRUE(m.remove(60));
+    auto view = m.snapshot_at();
+    EXPECT_TRUE(view.versioned());
+    GrowChain(m, 50, 5);
+    const auto [out, trace] = ParkedScan(m, view, [&m] {
+      ThreadLeakGuard guard(kLeaks);
+      EXPECT_TRUE(m.insert_with_height(66, 66, 0));
+      EXPECT_TRUE(m.insert_with_height(52, 52, 1));
+      EXPECT_TRUE(m.insert_with_height(60, 60, 1));
+      EXPECT_TRUE(m.insert_with_height(54, 54, 1));
+      RetireChains(m);
+    });
+
+    EXPECT_EQ(out,
+              (Pairs{{10, 10}, {20, 20}, {50, 50}, {55, 55}, {65, 65}}));
+    // L twice (its successor moved), then every split-off chunk.
+    EXPECT_EQ(trace[static_cast<std::size_t>(Point::kVersionWalk)],
+              5 + kRetiringSplits);
+    if constexpr (stats::kEnabled) {
+      const stats::Snapshot st = m.stats_registry().snapshot();
+      EXPECT_EQ(st[stats::Counter::kOrphanMerges], 1u);
+      EXPECT_EQ(st[stats::Counter::kVersionFolds], 4 + kRetiringSplits);
+    }
+    const auto rep = m.validate_structure();
+    EXPECT_TRUE(rep.ok()) << rep.to_string();
+    return trace;
+  };
+  const HitSnapshot a = run_once();
+  const HitSnapshot b = run_once();
+  EXPECT_EQ(a, b) << "the interleaving must replay with an identical trace";
 }
 
 }  // namespace
