@@ -24,13 +24,11 @@ using sv::benchutil::JsonValue;
 using sv::benchutil::Options;
 using sv::dbx::Row;
 using Index = sv::core::SkipVector<std::uint64_t, Row*>;
-using HashIndexMap = sv::core::SkipVectorHash<std::uint64_t, Row*>;
 
 double g_scan_fraction = 0.0;
 std::uint64_t g_scan_length = 100;
 double g_read_fraction = 0.9;
 
-template <class IndexT = Index>
 double run_cell(const sv::core::Config& index_cfg, std::uint64_t rows,
                 double theta, unsigned threads, std::uint64_t txns_per_thread,
                 sv::dbx::TxnStats* total_stats) {
@@ -40,7 +38,7 @@ double run_cell(const sv::core::Config& index_cfg, std::uint64_t rows,
   cfg.scan_fraction = g_scan_fraction;
   cfg.scan_length = static_cast<std::uint32_t>(g_scan_length);
   cfg.read_fraction = g_read_fraction;
-  sv::dbx::Database<IndexT> db(cfg, index_cfg);
+  sv::dbx::Database<Index> db(cfg, index_cfg);
 
   std::vector<sv::dbx::TxnStats> stats(threads);
   std::vector<std::thread> workers;
@@ -76,8 +74,6 @@ int main(int argc, char** argv) {
         "  --scan-len=N     rows per scan (default 100)\n"
         "  --workload=W     YCSB preset: a (50%% upd), b (5%% upd),"
         " c (read-only), e (scans); overrides read/scan fractions\n"
-        "  --hash           add an SV-HP-Hash column (hash sidecar point"
-        " lookups)\n"
         "  --json=PATH      also write sv-bench JSON ('-' = stdout)\n");
     return 0;
   }
@@ -103,7 +99,6 @@ int main(int argc, char** argv) {
   const std::uint64_t txns = opt.u64("txns", 10000);
   const auto threads_list = opt.u64_list("threads", {1, 2, 4});
   const auto thetas = opt.u64_list("thetas", {10, 60, 90});
-  const bool with_hash = opt.flag("hash");
   const std::string json_path = opt.str("json", "");
 
   BenchReport report("fig6_ycsb");
@@ -134,32 +129,17 @@ int main(int argc, char** argv) {
   for (const auto theta100 : thetas) {
     const double theta = static_cast<double>(theta100) / 100.0;
     std::printf("\n-- zipf theta = %.2f --\n", theta);
-    if (with_hash) {
-      std::printf("  %-10s %12s %12s %12s %12s %12s\n", "threads", "SV-HP",
-                  "SV-HP-Hash", "USL-HP", "SL-HP", "abort%%SV");
-    } else {
-      std::printf("  %-10s %12s %12s %12s %12s\n", "threads", "SV-HP",
-                  "USL-HP", "SL-HP", "abort%%SV");
-    }
+    std::printf("  %-10s %12s %12s %12s %12s\n", "threads", "SV-HP",
+                "USL-HP", "SL-HP", "abort%%SV");
     for (const auto t64 : threads_list) {
       const auto threads = static_cast<unsigned>(t64);
       sv::dbx::TxnStats sv_stats;
       const double sv = run_cell(sv_cfg, rows, theta, threads, txns, &sv_stats);
-      const double svh =
-          with_hash ? run_cell<HashIndexMap>(sv_cfg, rows, theta, threads,
-                                             txns, nullptr)
-                    : 0;
       const double usl = run_cell(usl_cfg, rows, theta, threads, txns, nullptr);
       const double sl = run_cell(sl_cfg, rows, theta, threads, txns, nullptr);
-      if (with_hash) {
-        std::printf("  %-10u %12.4f %12.4f %12.4f %12.4f %11.2f%%\n", threads,
-                    sv, svh, usl, sl, 100.0 * sv_stats.abort_rate());
-      } else {
-        std::printf("  %-10u %12.4f %12.4f %12.4f %11.2f%%\n", threads, sv,
-                    usl, sl, 100.0 * sv_stats.abort_rate());
-      }
+      std::printf("  %-10u %12.4f %12.4f %12.4f %11.2f%%\n", threads, sv,
+                  usl, sl, 100.0 * sv_stats.abort_rate());
       report_row("SV-HP", theta, threads, sv, sv_stats.abort_rate());
-      if (with_hash) report_row("SV-HP-Hash", theta, threads, svh, -1);
       report_row("USL-HP", theta, threads, usl, -1);
       report_row("SL-HP", theta, threads, sl, -1);
     }

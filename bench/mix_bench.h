@@ -33,8 +33,6 @@ struct SweepConfig {
                        // T_D=64, mergeThreshold=1.0, 4 layers
   bool include_lazy;   // extension: lock-based lazy skip list column
   bool include_pool;   // extension: SV-HP on the slab pool allocator
-  bool include_hash;   // extension: SV-HP with the hash sidecar
-                       // (docs/HASH_INDEX.md)
   double zipf_theta;   // 0 = uniform (paper); >0 = skewed extension
 };
 
@@ -50,7 +48,6 @@ inline SweepConfig sweep_from_options(const Options& opt) {
   s.include_tuned = opt.flag("tuned");
   s.include_lazy = opt.flag("lazy");
   s.include_pool = opt.flag("pool");
-  s.include_hash = opt.flag("hash");
   s.zipf_theta = opt.f64("zipf", 0.0);
   return s;
 }
@@ -66,7 +63,6 @@ inline void print_sweep_help(const char* figure, const char* mix) {
       "  --tuned              add the paper's SV-HP-Tune configuration\n"
       "  --lazy               add a lock-based lazy skip list column\n"
       "  --pool               add SV-HP on the slab pool allocator\n"
-      "  --hash               add SV-HP with the hash sidecar point index\n"
       "  --zipf=F             Zipfian key skew theta (default 0 = uniform)\n"
       "  --json=PATH          also write sv-bench JSON ('-' = stdout)\n",
       figure, mix);
@@ -151,7 +147,6 @@ inline void run_sweep(const char* title, MixSpec mix, const SweepConfig& cfg,
                 static_cast<unsigned long long>(bits));
     std::printf("  %-10s", "threads");
     std::printf(" %12s %12s", "SV-HP", "SV-Leak");
-    if (cfg.include_hash) std::printf(" %12s", "SV-HP-Hash");
     if (cfg.include_pool) std::printf(" %12s", "SV-HP-Pool");
     if (cfg.include_tuned) std::printf(" %12s", "SV-HP-Tune");
     if (cfg.include_usl_hp) std::printf(" %12s", "USL-HP");
@@ -176,15 +171,6 @@ inline void run_sweep(const char* title, MixSpec mix, const SweepConfig& cfg,
           },
           mix, range, threads, cfg.seconds, cfg.trials);
       report_cell(report, "SV-Leak", bits, threads, sv_leak);
-      CellResult sv_hash;
-      if (cfg.include_hash) {
-        sv_hash = run_cell(
-            [&] {
-              return std::make_unique<core::SkipVectorHash<K, V>>(sv_cfg);
-            },
-            mix, range, threads, cfg.seconds, cfg.trials);
-        report_cell(report, "SV-HP-Hash", bits, threads, sv_hash);
-      }
       CellResult sv_pool;
       if (cfg.include_pool) {
         sv_pool = run_cell(
@@ -239,7 +225,6 @@ inline void run_sweep(const char* title, MixSpec mix, const SweepConfig& cfg,
       }
 
       std::printf("  %-10u %12.3f %12.3f", threads, sv_hp.mops, sv_leak.mops);
-      if (cfg.include_hash) std::printf(" %12.3f", sv_hash.mops);
       if (cfg.include_pool) std::printf(" %12.3f", sv_pool.mops);
       if (cfg.include_tuned) std::printf(" %12.3f", tuned.mops);
       if (cfg.include_usl_hp) std::printf(" %12.3f", usl_hp.mops);

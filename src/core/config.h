@@ -2,7 +2,6 @@
 #pragma once
 
 #include <cmath>
-#include <cstddef>
 #include <cstdint>
 #include <stdexcept>
 #include <string>
@@ -29,16 +28,6 @@ struct Config {
   // Seed for the per-thread height generators.
   std::uint64_t seed = 0xC0FFEE;
 
-  // Slot count for the optional hash sidecar (docs/HASH_INDEX.md). 0
-  // selects the policy default (64Ki slots = 512 KiB); any other value
-  // must be a power of two in [kMinHashSlots, kMaxHashSlots] -- validate()
-  // rejects everything else, since a silently-rounded or absurd table size
-  // defeats the "sized like a cache" contract. Inert unless the map is
-  // instantiated with HashIndex = hashidx::HashChunkIndex. Sized like a
-  // cache: ~2x the expected live keys keeps the hit rate high; an
-  // undersized table degrades hit rate (slot stealing), never correctness.
-  std::size_t hash_index_slots = 0;
-
   // Chunk layouts (Fig. 7b): every index/data chunk is born with, and
   // keeps, its layer's tag. Both default to sorted: a sorted data chunk
   // has O(1) bounds, binary-searched lookups and range visits that read
@@ -51,8 +40,6 @@ struct Config {
   vectormap::Layout data_layout = vectormap::Layout::kSorted;
 
   static constexpr std::uint32_t kMaxLayers = 32;
-  static constexpr std::size_t kMinHashSlots = 64;
-  static constexpr std::size_t kMaxHashSlots = std::size_t{1} << 26;
 
   void validate() const {
     if (layer_count < 1 || layer_count > kMaxLayers)
@@ -63,16 +50,6 @@ struct Config {
       throw std::invalid_argument("target vector sizes must be <= 4096");
     if (merge_threshold_factor < 0)
       throw std::invalid_argument("merge_threshold_factor must be >= 0");
-    if (hash_index_slots != 0) {
-      if (hash_index_slots < kMinHashSlots ||
-          hash_index_slots > kMaxHashSlots)
-        throw std::invalid_argument(
-            "hash_index_slots must be 0 (policy default) or in [64, 2^26]");
-      if ((hash_index_slots & (hash_index_slots - 1)) != 0)
-        throw std::invalid_argument(
-            "hash_index_slots must be a power of two (the table masks, "
-            "it does not round)");
-    }
   }
 
   std::uint32_t data_capacity() const { return 2 * target_data_vector_size; }
@@ -112,12 +89,6 @@ struct Config {
     c.target_index_vector_size = t_index;
     c.target_data_vector_size = t_data;
     c.layer_count = layers_for(n, t_index, t_data);
-    // Size the (optional) hash sidecar at ~2x the expected live keys,
-    // capped at 4Mi slots (32 MiB); beyond the cap hit rate degrades
-    // gracefully via slot stealing.
-    std::size_t slots = 1024;
-    while (slots < 2 * n && slots < (std::size_t{1} << 22)) slots <<= 1;
-    c.hash_index_slots = slots;
     return c;
   }
 

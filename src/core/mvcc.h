@@ -15,16 +15,6 @@
 // trailing-array version record, and the snapshot registry that pins active
 // read versions (the writer side consults it to decide whether a pre-image
 // must be preserved, and the pruner to decide how much of a chain is dead).
-//
-// Hash sidecar interplay (docs/HASH_INDEX.md): the optional HashIndex policy
-// accelerates POINT operations only, and its hints always respect the
-// version-chain protocol. Sidecar fast-path writers (remove/update) follow
-// the same reserve -> pre-image -> mutate -> stamp sequence under the
-// chunk's write lock as the descent paths, so snapshot readers pinned below
-// the commit version still resolve the chunk from its chain. Versioned
-// reads themselves (snapshot()/range_for_each_at) never consult the hint
-// table: a hint names a chunk's LIVE identity, which is meaningless at a
-// pinned version.
 #pragma once
 
 #include <atomic>

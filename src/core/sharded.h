@@ -23,12 +23,9 @@
 namespace sv::core {
 
 template <class K, class V, class Reclaimer = reclaim::HazardReclaimer,
-          class Alloc = alloc::MallocNodeAllocator,
-          class HashIndex = hashidx::NoIndex>
+          class Alloc = alloc::MallocNodeAllocator>
 class ShardedSkipVector {
-  // Each shard carries its own (optional) hash sidecar: per-shard tables
-  // keep hint cache lines NUMA-local, matching the sharding rationale.
-  using Shard = SkipVectorMap<K, V, Reclaimer, Alloc, HashIndex>;
+  using Shard = SkipVectorMap<K, V, Reclaimer, Alloc>;
 
  public:
   // key_space is the exclusive upper bound of the key domain; keys must lie

@@ -19,12 +19,10 @@
 //                  node destruction back through this allocator (retire
 //                  carries an owned deleter; see reclaim/deleter.h), so
 //                  reclaimed chunks re-enter the pool.
-//   HashIndex      optional hash sidecar for point operations,
-//                  sv::core::hashidx::{NoIndex, HashChunkIndex}
-//                  (docs/HASH_INDEX.md). NoIndex (default) compiles every
-//                  sidecar call site away; HashChunkIndex consults a
-//                  key -> data-chunk hint table before descending, falling
-//                  back to the tower on any miss or stale hint.
+//
+// Every point operation reaches its key's data chunk by one speculative
+// descent from the top head (Listing 2); locate() is that descent for the
+// read-only and in-place callers.
 //
 // Chunk layouts (Fig. 7b) are chosen per layer at runtime: every chunk is
 // born with Config::index_layout or Config::data_layout (layer_layout())
@@ -62,7 +60,6 @@
 #include "common/hw.h"
 #include "common/rng.h"
 #include "core/config.h"
-#include "core/hash_index.h"
 #include "core/mvcc.h"
 #include "debug/audit.h"
 #include "debug/fault_inject.h"
@@ -77,8 +74,7 @@
 namespace sv::core {
 
 template <class K, class V, class Reclaimer = reclaim::HazardReclaimer,
-          class Alloc = alloc::MallocNodeAllocator,
-          class HashIndex = hashidx::NoIndex>
+          class Alloc = alloc::MallocNodeAllocator>
 class SkipVectorMap {
   static_assert(std::is_trivially_copyable_v<K> &&
                 std::is_trivially_copyable_v<V>);
@@ -98,12 +94,6 @@ class SkipVectorMap {
   // the map's private navigation/mutation primitives through this friend.
   template <class M>
   friend struct ::sv::txn::MapAccess;
-
-  // Hash sidecar (docs/HASH_INDEX.md). With the default NoIndex policy the
-  // table is an empty member and every `if constexpr (kHashEnabled)` block
-  // below vanishes, so sidecar-off builds are the pre-sidecar map.
-  static constexpr bool kHashEnabled = HashIndex::kEnabled;
-  using HintTable = typename HashIndex::template Table<K>;
 
   // ---- Node layout ---------------------------------------------------------
 
@@ -145,7 +135,7 @@ class SkipVectorMap {
   using mapped_type = V;
 
   explicit SkipVectorMap(Config config = Config{})
-      : config_(config), hints_(config.hash_index_slots) {
+      : config_(config) {
     config_.validate();
     heads_.resize(config_.layer_count);
     heads_[0] = alloc_node<DataNode, V>(config_.data_capacity(), nullptr, 0,
@@ -216,19 +206,6 @@ class SkipVectorMap {
     stats::Scope stats_scope(stats_);
     Ctx ctx = reclaimer_.thread_ctx();
     OpGuard op_scope(ctx);
-    if constexpr (kHashEnabled) {
-      // Duplicate-detection fast path: a validated hit means k is present
-      // and the insert is a no-op. New keys take the full descent (their
-      // hint is published at the insert's write site).
-      std::optional<V> present;
-      Trav at;
-      if (hash_try_lookup(ctx, k, present, at)) {
-        ctx.drop_all();
-        stats::count(stats::Counter::kInsertDup);
-        return false;
-      }
-      ctx.drop_all();
-    }
     sync::Backoff backoff;
     InsertState st;
     for (;;) {
@@ -253,15 +230,6 @@ class SkipVectorMap {
     stats::Scope stats_scope(stats_);
     Ctx ctx = reclaimer_.thread_ctx();
     OpGuard op_scope(ctx);
-    if constexpr (kHashEnabled) {
-      if (hash_try_remove(ctx, k)) {
-        ctx.drop_all();
-        approx_size_.fetch_sub(1, std::memory_order_relaxed);
-        stats::count(stats::Counter::kRemoveHit);
-        return true;
-      }
-      ctx.drop_all();
-    }
     sync::Backoff backoff;
     for (;;) {
       bool result = false;
@@ -284,14 +252,6 @@ class SkipVectorMap {
     stats::Scope stats_scope(stats_);
     Ctx ctx = reclaimer_.thread_ctx();
     OpGuard op_scope(ctx);
-    if constexpr (kHashEnabled) {
-      if (hash_try_update(ctx, k, v)) {
-        ctx.drop_all();
-        stats::count(stats::Counter::kUpdateHit);
-        return true;
-      }
-      ctx.drop_all();
-    }
     sync::Backoff backoff;
     for (;;) {
       bool result = false;
@@ -452,7 +412,6 @@ class SkipVectorMap {
       h->lock.acquire();  // bump the version: invalidate stale observers
       h->lock.release();
     }
-    if constexpr (kHashEnabled) hints_.reset();  // nodes freed above
     approx_size_.store(0, std::memory_order_relaxed);
   }
 
@@ -1390,19 +1349,6 @@ class SkipVectorMap {
           merge_ver = version_reserve();
           if (snapshots_active()) fold_merge(t.node, next);
         }
-        if constexpr (kHashEnabled) {
-          // INVALIDATE (docs/HASH_INDEX.md): swing every sidecar entry for
-          // the victim's keys to the surviving left chunk BEFORE the drain
-          // empties the victim and BEFORE retire(). Both locks are held, so
-          // no concurrent put() can re-publish `next`. By the FIX invariant
-          // this clears every entry pointing at `next`.
-          if (t.node->layer == 0) {
-            as_data(next)->vec.for_each([&](K vk, V) {
-              hints_.repoint(vk, next, t.node);
-            });
-            stats::count(stats::Counter::kHashRebuilds);
-          }
-        }
 #if defined(SV_FAULT_INJECTION) && SV_FAULT_INJECTION
         // Mutation site (checker-teeth testing only): when fired, unlink the
         // orphan WITHOUT absorbing its elements -- every mapping it held
@@ -1481,6 +1427,24 @@ class SkipVectorMap {
     return false;  // non-head with no key <= k: inconsistent speculation
   }
 
+  // The descent of Listing 2: from the top head down every layer to k's
+  // floor chunk in the data layer, merging only empty orphans on the way.
+  // Returns false -> restart. On success t is that chunk, protected by
+  // t.slot, with the word its read section opened at; the caller reads or
+  // upgrades from there. Insert, remove and tower demotion write their own
+  // descents: they freeze or stop on index layers and merge as mutators.
+  bool locate(Ctx& ctx, K k, Trav& t) {
+    t = begin_traversal(ctx);
+    while (t.node->layer > 0) {
+      if (!traverse_right(ctx, t, k, /*mutator=*/false)) return false;
+      NodeBase* down = nullptr;
+      bool exact = false;
+      if (!index_down(t, k, &down, &exact)) return false;
+      if (!exchange_down(ctx, t, down)) return false;
+    }
+    return traverse_right(ctx, t, k, /*mutator=*/false);
+  }
+
   // ---- Lookup implementation -------------------------------------------------
 
   // lookup()'s body, shared with the transaction layer's pinned read
@@ -1488,14 +1452,6 @@ class SkipVectorMap {
   // the word its read validated at; at.slot still protects the chunk, and
   // the caller drops it.
   std::optional<V> lookup_at(Ctx& ctx, K k, Trav& at) {
-    if constexpr (kHashEnabled) {
-      std::optional<V> result;
-      if (hash_try_lookup(ctx, k, result, at)) {
-        stats::count(stats::Counter::kLookupHit);
-        return result;
-      }
-      ctx.drop_all();
-    }
     sync::Backoff backoff;
     for (;;) {
       std::optional<V> result;
@@ -1513,141 +1469,9 @@ class SkipVectorMap {
   // On success hands back its final position: k's floor data chunk,
   // protected, with the word the read validated at.
   bool try_lookup(Ctx& ctx, K k, std::optional<V>& result, Trav& at) {
-    Trav t = begin_traversal(ctx);
-    while (t.node->layer > 0) {
-      if (!traverse_right(ctx, t, k, /*mutator=*/false)) return false;
-      NodeBase* down = nullptr;
-      bool exact = false;
-      if (!index_down(t, k, &down, &exact)) return false;
-      if (!exchange_down(ctx, t, down)) return false;
-    }
-    if (!traverse_right(ctx, t, k, /*mutator=*/false)) return false;
-    result = as_data(t.node)->vec.get(k);
-    if (!t.node->lock.validate(t.ver)) return false;  // linearization point
-    if constexpr (kHashEnabled) {
-      // Opportunistic hint repair: a hit that descended means the sidecar
-      // had no (correct) entry for k. PUBLISH requires the chunk's write
-      // lock, so upgrade the validated read section; failure just skips the
-      // repair. The upgrade/release bumps the version -- acceptable, this
-      // path only runs when the hint was already missing or stale. The
-      // chunk's contents did not change, so the read holds at the new word.
-      if (result.has_value() && hints_.get(k) != t.node &&
-          t.node->lock.try_upgrade(t.ver)) {
-        hints_.put(k, t.node);
-        t.ver = t.node->lock.release();
-        stats::count(stats::Counter::kHashRebuilds);
-      } else if (!result.has_value()) {
-        // k proved absent: shed any stale entry so repeated misses stop
-        // paying the wasted probe. Unlocked drop is always safe.
-        if (void* p = hints_.get(k)) hints_.drop(k, p);
-      }
-    }
-    at = t;
-    return true;
-  }
-
-  // ---- Hash sidecar fast paths (docs/HASH_INDEX.md) ---------------------------
-  //
-  // All of these are advisory accelerations: they either conclude the
-  // operation with a result identical to what the descent would produce
-  // (validated under the candidate chunk's sequence lock, or performed
-  // under its write lock), or they conclude nothing and the caller falls
-  // back to the normal tower descent. They can never produce a wrong
-  // answer, only a wasted probe.
-
-  // PROBE: candidate data chunk for k, hazard-protected (slot 0) and
-  // reconfirmed against the table (the reconfirm is what makes the
-  // protection sound; see hash_index.h). nullptr -> no usable hint.
-  DataNode* hash_probe(Ctx& ctx, K k) {
-    void* raw = hints_.get(k);
-    if (raw == nullptr) return nullptr;
-    ctx.protect(0, raw);
-    if (!hints_.reconfirm(k, raw)) {
-      stats::count(stats::Counter::kHashStale);
-      return nullptr;
-    }
-    return static_cast<DataNode*>(raw);
-  }
-
-  // Validated read of k through the sidecar. Returns true ONLY on a hit
-  // (result engaged, `at` the hinted chunk and its validated word); a miss
-  // concludes nothing -- the hint proposes one chunk, and k's absence from
-  // it does not prove absence from the map.
-  bool hash_try_lookup(Ctx& ctx, K k, std::optional<V>& result, Trav& at) {
-    DataNode* c = hash_probe(ctx, k);
-    if (c == nullptr) return false;
-    const Word w = c->lock.read_begin();
-    result = c->vec.get(k);
-    if (!result.has_value() || !c->lock.validate(w)) {
-      // A hit that fails validation is indistinguishable from a torn read;
-      // either way the hint did not pay off.
-      if (result.has_value()) {
-        result.reset();
-      } else {
-        stats::count(stats::Counter::kHashStale);
-      }
-      return false;
-    }
-    // c validated while containing k: a merged-away chunk is drained (or
-    // version-bumped) before its locks release, so c is still linked and
-    // this is the same linearization point as try_lookup's final read.
-    stats::count(stats::Counter::kHashHits);
-    at = Trav{c, w, 0};
-    return true;
-  }
-
-  // Fast-path remove: erase k directly from the hinted chunk under its
-  // write lock. Falls back (returns false) whenever k might carry a tower:
-  // by the §IV-C invariant every key present in an index layer is the
-  // minimum of a non-orphan, non-head data chunk, so the guard below is
-  // exhaustive -- mirroring try_remove's common-path guard.
-  bool hash_try_remove(Ctx& ctx, K k) {
-    DataNode* c = hash_probe(ctx, k);
-    if (c == nullptr) return false;
-    const Word w = c->lock.read_begin();
-    if (!c->vec.contains(k)) {
-      stats::count(stats::Counter::kHashStale);
-      return false;
-    }
-    if (!c->is_head && !Lock::is_orphan(w) && node_size(c) > 0 &&
-        node_min_key(c) == k) {
-      return false;  // k may have a tower: take the full descent
-    }
-    if (!c->lock.try_upgrade(w)) return false;
-    // Upgrade from w proves the speculative reads above were of the
-    // current state: k is present and is not a towered minimum.
-    const std::uint64_t ver = version_reserve();
-    if (snapshots_active()) push_preimage(c);
-    const bool erased = c->vec.erase(k);
-    assert(erased);
-    if (erased) c->mod_version.store(ver, std::memory_order_release);
-    if (erased) hints_.erase(k, c);  // FIX, under the lock
-    c->lock.release();
-    if (!erased) return false;
-    stats::count(stats::Counter::kHashHits);
-    return true;
-  }
-
-  // Fast-path update: assign in place under the hinted chunk's write lock.
-  // No structural guard needed -- update never changes the key set.
-  bool hash_try_update(Ctx& ctx, K k, V v) {
-    DataNode* c = hash_probe(ctx, k);
-    if (c == nullptr) return false;
-    const Word w = c->lock.read_begin();
-    if (!c->vec.contains(k)) {
-      stats::count(stats::Counter::kHashStale);
-      return false;
-    }
-    if (!c->lock.try_upgrade(w)) return false;
-    const std::uint64_t ver = version_reserve();
-    if (snapshots_active()) push_preimage(c);
-    const bool assigned = c->vec.assign(k, v);
-    assert(assigned);
-    if (assigned) c->mod_version.store(ver, std::memory_order_release);
-    c->lock.release();
-    if (!assigned) return false;
-    stats::count(stats::Counter::kHashHits);
-    return true;
+    if (!locate(ctx, k, at)) return false;
+    result = as_data(at.node)->vec.get(k);
+    return at.node->lock.validate(at.ver);  // linearization point
   }
 
   // ---- Insert implementation -------------------------------------------------
@@ -1804,17 +1628,6 @@ class SkipVectorMap {
                         std::memory_order_relaxed);
       SV_FAULT_POINT(debug::Point::kTowerSplit);  // split built, not published
       prev->next.store(fresh, std::memory_order_release);
-      if constexpr (kHashEnabled) {
-        // PUBLISH: fresh is linked and prev (its left neighbor) is still
-        // write-locked, so fresh cannot be merged away; swing every moved
-        // key's hint (plus k's) to the new chunk.
-        if (layer == 0) {
-          as_data(fresh)->vec.for_each([&](K mk, V) {
-            hints_.put(mk, fresh);
-          });
-          stats::count(stats::Counter::kHashRebuilds);
-        }
-      }
       prev->lock.release();
       stats::count(stats::Counter::kTowerSplits);
       below = fresh;
@@ -1909,20 +1722,11 @@ class SkipVectorMap {
                       std::memory_order_relaxed);
       SV_FAULT_POINT(debug::Point::kSplit);  // orphan built, not yet published
       node->next.store(sib, std::memory_order_release);
-      if constexpr (std::is_same_v<NodeType, DataNode> && kHashEnabled) {
-        // PUBLISH: sib is linked and node (its left neighbor) is locked, so
-        // sib cannot be merged away yet; swing the moved keys' hints.
-        sib->vec.for_each([&](K mk, V) { hints_.put(mk, sib); });
-        stats::count(stats::Counter::kHashRebuilds);
-      }
       if (goes_right) return;
     }
     const bool ok = node->vec.insert(k, payload);
     assert(ok);
     (void)ok;
-    if constexpr (std::is_same_v<NodeType, DataNode> && kHashEnabled) {
-      hints_.put(k, node);  // node is write-locked by the caller
-    }
   }
 
   // ---- Remove implementation -------------------------------------------------
@@ -1977,10 +1781,6 @@ class SkipVectorMap {
       if (snapshots_active()) push_preimage(t.node);
       result = as_data(t.node)->vec.erase(k);
       if (result) t.node->mod_version.store(c, std::memory_order_release);
-      if constexpr (kHashEnabled) {
-        // FIX: k left this chunk; clear its entry under the lock.
-        if (result) hints_.erase(k, t.node);
-      }
       t.node->lock.release();
       ctx.drop_all();
       return true;
@@ -2011,9 +1811,6 @@ class SkipVectorMap {
     const bool erased = as_data(curr)->vec.erase(k);
     assert(erased);
     if (erased) curr->mod_version.store(c, std::memory_order_release);
-    if constexpr (kHashEnabled) {
-      if (erased) hints_.erase(k, curr);  // FIX, under curr's lock
-    }
     curr->lock.release();
     ctx.drop_all();
     result = true;
@@ -2023,23 +1820,13 @@ class SkipVectorMap {
   // ---- Update implementation -------------------------------------------------
 
   bool try_update(Ctx& ctx, K k, V v, bool& result) {
-    Trav t = begin_traversal(ctx);
-    while (t.node->layer > 0) {
-      if (!traverse_right(ctx, t, k, /*mutator=*/false)) return false;
-      NodeBase* down = nullptr;
-      bool exact = false;
-      if (!index_down(t, k, &down, &exact)) return false;
-      if (!exchange_down(ctx, t, down)) return false;
-    }
-    if (!traverse_right(ctx, t, k, /*mutator=*/false)) return false;
+    Trav t;
+    if (!locate(ctx, k, t)) return false;
     if (!t.node->lock.try_upgrade(t.ver)) return false;
     const std::uint64_t c = version_reserve();
     if (snapshots_active()) push_preimage(t.node);
     result = as_data(t.node)->vec.assign(k, v);
     if (result) t.node->mod_version.store(c, std::memory_order_release);
-    if constexpr (kHashEnabled) {
-      if (result) hints_.put(k, t.node);  // refresh under the lock
-    }
     t.node->lock.release();
     ctx.drop_all();
     return true;
@@ -2048,15 +1835,8 @@ class SkipVectorMap {
   // ---- Ordered-navigation implementation ---------------------------------------
 
   bool try_floor(Ctx& ctx, K k, Entry& out) {
-    Trav t = begin_traversal(ctx);
-    while (t.node->layer > 0) {
-      if (!traverse_right(ctx, t, k, /*mutator=*/false)) return false;
-      NodeBase* down = nullptr;
-      bool exact = false;
-      if (!index_down(t, k, &down, &exact)) return false;
-      if (!exchange_down(ctx, t, down)) return false;
-    }
-    if (!traverse_right(ctx, t, k, /*mutator=*/false)) return false;
+    Trav t;
+    if (!locate(ctx, k, t)) return false;
     // The positioned node is the floor node: nothing to its right can hold
     // a key <= k, and (unless it is the head) its minimum is <= k.
     const auto fle = as_data(t.node)->vec.find_le(k);
@@ -2068,15 +1848,8 @@ class SkipVectorMap {
   }
 
   bool try_ceiling(Ctx& ctx, K k, Entry& out) {
-    Trav t = begin_traversal(ctx);
-    while (t.node->layer > 0) {
-      if (!traverse_right(ctx, t, k, /*mutator=*/false)) return false;
-      NodeBase* down = nullptr;
-      bool exact = false;
-      if (!index_down(t, k, &down, &exact)) return false;
-      if (!exchange_down(ctx, t, down)) return false;
-    }
-    if (!traverse_right(ctx, t, k, /*mutator=*/false)) return false;
+    Trav t;
+    if (!locate(ctx, k, t)) return false;
     return try_scan_forward(ctx, t, k, /*use_k=*/true, out);
   }
 
@@ -2198,15 +1971,8 @@ class SkipVectorMap {
   template <class Body>
   bool try_range(Ctx& ctx, K lo, K hi, bool mutating, Body& body,
                  std::size_t& visited) {
-    Trav t = begin_traversal(ctx);
-    while (t.node->layer > 0) {
-      if (!traverse_right(ctx, t, lo, /*mutator=*/false)) return false;
-      NodeBase* down = nullptr;
-      bool exact = false;
-      if (!index_down(t, lo, &down, &exact)) return false;
-      if (!exchange_down(ctx, t, down)) return false;
-    }
-    if (!traverse_right(ctx, t, lo, /*mutator=*/false)) return false;
+    Trav t;
+    if (!locate(ctx, lo, t)) return false;
     if (!t.node->lock.try_upgrade(t.ver)) return false;
     // Growing phase: extend right while the range may continue. While we
     // hold a node's write lock its successor cannot be unlinked, so the
@@ -2563,16 +2329,8 @@ class SkipVectorMap {
       // sub-range lower bound never exceeds its live minimum, so every
       // mapping > cursor at v is resolvable from this chunk or one to its
       // right.
-      const K target = emitted ? last : lo;
-      Trav t = begin_traversal(ctx);
-      while (t.node->layer > 0) {
-        if (!traverse_right(ctx, t, target, /*mutator=*/false)) return false;
-        NodeBase* down = nullptr;
-        bool exact = false;
-        if (!index_down(t, target, &down, &exact)) return false;
-        if (!exchange_down(ctx, t, down)) return false;
-      }
-      if (!traverse_right(ctx, t, target, /*mutator=*/false)) return false;
+      Trav t;
+      if (!locate(ctx, emitted ? last : lo, t)) return false;
       NodeBase* node = t.node;
       int slot = t.slot;
       std::vector<std::pair<K, V>> buf;
@@ -2659,7 +2417,6 @@ class SkipVectorMap {
       if (op.kind == mvcc::BatchOpKind::kRemove) {
         op.applied = p->vec.erase(op.key);
         if (op.applied) {
-          if constexpr (kHashEnabled) hints_.erase(op.key, p);  // FIX
           ++applied;
           --delta;
         }
@@ -2683,11 +2440,6 @@ class SkipVectorMap {
                         std::memory_order_relaxed);
         SV_FAULT_POINT(debug::Point::kSplit);
         p->next.store(sib, std::memory_order_release);
-        if constexpr (kHashEnabled) {
-          // PUBLISH: both p and sib are locked until the batch commits.
-          sib->vec.for_each([&](K mk, V) { hints_.put(mk, sib); });
-          stats::count(stats::Counter::kHashRebuilds);
-        }
         locked.push_back(sib);
         pieces.insert(pieces.begin() + static_cast<std::ptrdiff_t>(pi) + 1,
                       sib);
@@ -2701,7 +2453,6 @@ class SkipVectorMap {
       const bool ok = p->vec.insert(op.key, op.value);
       assert(ok);
       (void)ok;
-      if constexpr (kHashEnabled) hints_.put(op.key, p);  // under the lock
       op.applied = true;
       ++applied;
       ++delta;
@@ -2770,10 +2521,6 @@ class SkipVectorMap {
   // the allocator must be destroyed after them (reverse declaration order).
   Alloc alloc_;
   Reclaimer reclaimer_;
-  // Hash sidecar hint table (empty with NoIndex). Holds no node ownership:
-  // entries are advisory pointers invalidated before the nodes they name
-  // are retired, so destruction order relative to the reclaimer is free.
-  [[no_unique_address]] HintTable hints_;
   std::vector<NodeBase*> heads_;  // per layer, [0] = data
   NodeBase* head_ = nullptr;      // top-layer head (the paper's `head`)
   std::atomic<std::int64_t> approx_size_{0};
@@ -2819,18 +2566,5 @@ using SkipVectorPool =
 template <class K, class V>
 using SkipVectorPoolLeak =
     SkipVectorMap<K, V, reclaim::LeakReclaimer, alloc::PoolNodeAllocator>;
-
-// Hash-sidecar variants (docs/HASH_INDEX.md): SV-HP plus the key -> chunk
-// hint table consulted before descent. The bench suite reports this as
-// SV-HP-Hash.
-template <class K, class V>
-using SkipVectorHash =
-    SkipVectorMap<K, V, reclaim::HazardReclaimer, alloc::MallocNodeAllocator,
-                  hashidx::HashChunkIndex>;
-
-template <class K, class V>
-using SkipVectorHashSeq =
-    SkipVectorMap<K, V, reclaim::ImmediateReclaimer,
-                  alloc::MallocNodeAllocator, hashidx::HashChunkIndex>;
 
 }  // namespace sv::core

@@ -28,15 +28,4 @@ template <class K, class V>
 using SkipVectorEpochPool =
     SkipVectorMap<K, V, reclaim::EpochReclaimer, alloc::PoolNodeAllocator>;
 
-// SV-EBR with the hash sidecar (docs/HASH_INDEX.md). Under epochs the
-// sidecar's probe protocol leans on the operation's epoch pin instead of
-// hazard slots: protect() is a no-op, and a table entry observed inside
-// begin_op()/end_op() names a chunk that cannot be freed before the pin
-// drops (entries are invalidated before retire, and retired nodes wait out
-// the pinned epoch).
-template <class K, class V>
-using SkipVectorEpochHash =
-    SkipVectorMap<K, V, reclaim::EpochReclaimer, alloc::MallocNodeAllocator,
-                  hashidx::HashChunkIndex>;
-
 }  // namespace sv::core

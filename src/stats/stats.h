@@ -110,11 +110,6 @@ enum class Counter : std::uint32_t {
   kBatchAborts,           // apply_batch lock-acquisition passes aborted
   kBatchKeys,             // ops applied by committed batches
 
-  // Hash sidecar (core/hash_index.h; zero unless HashIndex is enabled).
-  kHashHits,      // point ops concluded through a validated hint
-  kHashStale,     // probes that found an entry but could not conclude
-  kHashRebuilds,  // hint publish/repair/repoint events (split/merge/lookup)
-
   // Transaction layer (src/txn/; docs/TRANSACTIONS.md). kTxnLockFail is
   // counted inside the shared lock manager, so apply_batch conflicts bump
   // it alongside kBatchAborts.
@@ -175,9 +170,6 @@ inline constexpr std::array<std::string_view, kCounterCount> kCounterNames = {
     "batch_commits",
     "batch_aborts",
     "batch_keys",
-    "hash_hits",
-    "hash_stale",
-    "hash_rebuilds",
     "txn_commits",
     "txn_aborts",
     "txn_lock_fail",

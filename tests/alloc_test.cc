@@ -25,38 +25,10 @@
 #include "common/rng.h"
 #include "core/skip_vector.h"
 #include "core/skip_vector_epoch.h"
-
-#if defined(__SANITIZE_ADDRESS__)
-#define SV_TEST_ASAN 1
-#endif
-#if defined(__has_feature)
-#if __has_feature(address_sanitizer)
-#define SV_TEST_ASAN 1
-#endif
-#endif
-#if defined(SV_TEST_ASAN)
-#include <sanitizer/lsan_interface.h>
-#endif
+#include "lsan_guard.h"
 
 namespace sv::alloc {
 namespace {
-
-// LeakSanitizer scope guard for the one combination that leaks by design
-// (LeakReclaimer on the malloc passthrough). Every pool-backed variant runs
-// fully leak-checked -- that is the point of the pool.
-class ScopedLeakCheckDisabler {
- public:
-  ScopedLeakCheckDisabler() {
-#if defined(SV_TEST_ASAN)
-    __lsan_disable();
-#endif
-  }
-  ~ScopedLeakCheckDisabler() {
-#if defined(SV_TEST_ASAN)
-    __lsan_enable();
-#endif
-  }
-};
 
 // ---- NodeLayout --------------------------------------------------------------
 
@@ -484,8 +456,9 @@ TEST(AllocatorParity, EpochPool) {
 }
 TEST(AllocatorParity, LeakMalloc) {
   // Leaks by design on the malloc passthrough; keep LSan quiet for exactly
-  // this combination.
-  ScopedLeakCheckDisabler no_leak_check;
+  // this combination. Every pool-backed variant runs fully leak-checked:
+  // that is the point of the pool.
+  const sv::test::LeakCheckDisabler no_leak_check;
   run_parity<ParityMap<sv::reclaim::LeakReclaimer, MallocNodeAllocator>>();
 }
 TEST(AllocatorParity, LeakPool) {

@@ -111,6 +111,7 @@ TEST(EpochDomain, ConcurrentChurnNoUseAfterFree) {
   stop.store(true);
   for (auto& t : readers) t.join();
   EXPECT_EQ(bad.load(), 0u);
+  for (auto& s : slots) delete s.ptr.load();  // still published, never retired
 }
 
 TEST(SkipVectorEpoch, StressMatchesTagInvariant) {

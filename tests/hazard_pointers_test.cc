@@ -192,6 +192,7 @@ TEST(HazardDomainStress, ProtectValidateRace) {
   for (auto& t : readers) t.join();
   EXPECT_EQ(bad.load(), 0u) << "validated read of a freed object";
   d.flush();
+  for (auto& s : slots) delete s.ptr.load();  // still published, never retired
 }
 
 TEST(ReclaimerPolicies, LeakAndImmediateShapes) {

@@ -11,6 +11,7 @@
 #include <cstdint>
 #include <string>
 #include <thread>
+#include <type_traits>
 #include <utility>
 #include <vector>
 
@@ -18,9 +19,12 @@
 #include "core/skip_vector.h"
 #include "core/skip_vector_epoch.h"
 #include "debug/fault_inject.h"
+#include "lsan_guard.h"
 
 namespace sv::core {
 namespace {
+
+using sv::test::LeakCheckDisabler;
 
 template <class R>
 struct Policy {
@@ -37,6 +41,13 @@ class RangeScanStressTest : public testing::Test {
  protected:
   using Map = SkipVectorMap<std::uint64_t, std::uint64_t,
                             typename P::Reclaimer>;
+
+  // LeakReclaimer on the malloc passthrough leaks its unlinked chunks by
+  // design: exempt only that map from LeakSanitizer, on every thread that
+  // allocates through it.
+  static constexpr bool kLeaksByDesign =
+      std::is_same_v<typename P::Reclaimer, reclaim::LeakReclaimer>;
+  const LeakCheckDisabler body_guard_{kLeaksByDesign};
 
   // Tiny chunks so churn constantly splits and merges data vectors.
   static Config Cfg() {
@@ -75,6 +86,7 @@ TYPED_TEST(RangeScanStressTest, ScansObserveLegalSnapshots) {
   // drain, merge, and steal-above continuously.
   for (int t = 0; t < 4; ++t) {
     threads.emplace_back([&, t] {
+      const LeakCheckDisabler guard(TestFixture::kLeaksByDesign);
       Xoshiro256 rng(100 + t);
       for (int i = 0; i < 12000; ++i) {
         const std::uint64_t k = 1 + rng.next_below(kRange - 1);
@@ -98,6 +110,7 @@ TYPED_TEST(RangeScanStressTest, ScansObserveLegalSnapshots) {
   // Scanners: overlapping windows; every snapshot must be legal.
   for (int s = 0; s < 3; ++s) {
     threads.emplace_back([&, s] {
+      const LeakCheckDisabler guard(TestFixture::kLeaksByDesign);
       Xoshiro256 rng(200 + s);
       std::vector<std::pair<std::uint64_t, std::uint64_t>> got;
       while (!stop.load(std::memory_order_relaxed)) {

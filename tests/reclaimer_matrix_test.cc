@@ -1,7 +1,6 @@
 // Integration stress executed identically across every reclamation policy
 // (hazard pointers, epochs, leak) crossed with both node allocators
-// (malloc passthrough, slab pool) and the hash sidecar (NoIndex,
-// HashChunkIndex; docs/HASH_INDEX.md): the full operation surface -- point
+// (malloc passthrough, slab pool): the full operation surface -- point
 // ops, navigation, range queries -- under concurrent churn, followed by
 // complete structural validation. Typed tests guarantee no combination
 // silently misses coverage. (ImmediateReclaimer is sequential-only; its
@@ -21,49 +20,17 @@
 #include "core/adapters.h"
 #include "core/skip_vector.h"
 #include "core/skip_vector_epoch.h"
-
-#if defined(__SANITIZE_ADDRESS__)
-#define SV_TEST_ASAN 1
-#endif
-#if defined(__has_feature)
-#if __has_feature(address_sanitizer)
-#define SV_TEST_ASAN 1
-#endif
-#endif
-#if defined(SV_TEST_ASAN)
-#include <sanitizer/lsan_interface.h>
-#endif
+#include "lsan_guard.h"
 
 namespace sv::core {
 namespace {
 
-// LeakSanitizer's disable counter is per-thread, so the by-design-leak
-// exemption must be asserted by every thread that allocates through the
-// map, not just the fixture's SetUp. Worker lambdas instantiate one of
-// these first thing; it is a no-op unless `active` (and outside ASan).
-class ThreadLeakGuard {
- public:
-  explicit ThreadLeakGuard(bool active) : active_(active) {
-#if defined(SV_TEST_ASAN)
-    if (active_) __lsan_disable();
-#endif
-  }
-  ~ThreadLeakGuard() {
-#if defined(SV_TEST_ASAN)
-    if (active_) __lsan_enable();
-#endif
-  }
+using sv::test::LeakCheckDisabler;
 
- private:
-  [[maybe_unused]] bool active_;
-};
-
-template <class R, class A = alloc::MallocNodeAllocator,
-          class H = hashidx::NoIndex>
+template <class R, class A = alloc::MallocNodeAllocator>
 struct Policy {
   using Reclaimer = R;
   using Alloc = A;
-  using HashIndex = H;
 };
 
 using Policies = testing::Types<
@@ -71,23 +38,14 @@ using Policies = testing::Types<
     Policy<reclaim::LeakReclaimer>,
     Policy<reclaim::HazardReclaimer, alloc::PoolNodeAllocator>,
     Policy<reclaim::EpochReclaimer, alloc::PoolNodeAllocator>,
-    Policy<reclaim::LeakReclaimer, alloc::PoolNodeAllocator>,
-    // Hash sidecar (docs/HASH_INDEX.md) crossed with each reclaimer family:
-    // the hint-probe protocol leans on hazard slots, epoch pins, or nothing
-    // (leak) respectively, so all three must survive the same stress.
-    Policy<reclaim::HazardReclaimer, alloc::MallocNodeAllocator,
-           hashidx::HashChunkIndex>,
-    Policy<reclaim::EpochReclaimer, alloc::PoolNodeAllocator,
-           hashidx::HashChunkIndex>,
-    Policy<reclaim::LeakReclaimer, alloc::MallocNodeAllocator,
-           hashidx::HashChunkIndex>>;
+    Policy<reclaim::LeakReclaimer, alloc::PoolNodeAllocator>>;
 
 template <class P>
 class ReclaimerMatrixTest : public testing::Test {
  protected:
   using Map =
       SkipVectorMap<std::uint64_t, std::uint64_t, typename P::Reclaimer,
-                    typename P::Alloc, typename P::HashIndex>;
+                    typename P::Alloc>;
 
   // LeakReclaimer on the malloc passthrough leaks retired nodes by design;
   // exempt only that combination from LeakSanitizer. The pool-backed leak
@@ -97,16 +55,8 @@ class ReclaimerMatrixTest : public testing::Test {
       std::is_same_v<typename P::Reclaimer, reclaim::LeakReclaimer> &&
       !P::Alloc::kPooled;
 
-  void SetUp() override {
-#if defined(SV_TEST_ASAN)
-    if (kLeaksByDesign) __lsan_disable();
-#endif
-  }
-  void TearDown() override {
-#if defined(SV_TEST_ASAN)
-    if (kLeaksByDesign) __lsan_enable();
-#endif
-  }
+  // Covers the test body's thread; workers construct their own.
+  const LeakCheckDisabler body_guard_{kLeaksByDesign};
 
   static Config Cfg() {
     Config c;
@@ -132,7 +82,7 @@ TYPED_TEST(ReclaimerMatrixTest, FullSurfaceConcurrentStress) {
   std::vector<std::thread> threads;
   for (int t = 0; t < 3; ++t) {
     threads.emplace_back([&, t] {
-      ThreadLeakGuard guard(TestFixture::kLeaksByDesign);
+      LeakCheckDisabler guard(TestFixture::kLeaksByDesign);
       Xoshiro256 rng(t + 1);
       while (!stop.load(std::memory_order_relaxed)) {
         const std::uint64_t k = 1 + rng.next_below(kRange - 1);
@@ -179,7 +129,7 @@ TYPED_TEST(ReclaimerMatrixTest, FullSurfaceConcurrentStress) {
     });
   }
   threads.emplace_back([&] {
-    ThreadLeakGuard guard(TestFixture::kLeaksByDesign);
+    LeakCheckDisabler guard(TestFixture::kLeaksByDesign);
     while (!stop.load(std::memory_order_relaxed)) {
       auto f = m.first();
       auto l = m.last();
@@ -208,7 +158,7 @@ TYPED_TEST(ReclaimerMatrixTest, RepeatedFillDrainCycles) {
     std::vector<std::thread> threads;
     for (int t = 0; t < 3; ++t) {
       threads.emplace_back([&, t] {
-        ThreadLeakGuard guard(TestFixture::kLeaksByDesign);
+        LeakCheckDisabler guard(TestFixture::kLeaksByDesign);
         Xoshiro256 rng(cycle * 10 + t);
         for (std::uint64_t i = 0; i < 3000; ++i) {
           m.insert(rng.next_below(1024), i);
@@ -219,7 +169,7 @@ TYPED_TEST(ReclaimerMatrixTest, RepeatedFillDrainCycles) {
     threads.clear();
     for (int t = 0; t < 3; ++t) {
       threads.emplace_back([&, t] {
-        ThreadLeakGuard guard(TestFixture::kLeaksByDesign);
+        LeakCheckDisabler guard(TestFixture::kLeaksByDesign);
         Xoshiro256 rng(cycle * 17 + t);
         for (std::uint64_t i = 0; i < 4000; ++i) {
           m.remove(rng.next_below(1024));
@@ -249,7 +199,7 @@ TYPED_TEST(ReclaimerMatrixTest, RecordedHistoryIsLinearizable) {
     std::vector<std::thread> threads;
     for (int t = 0; t < kThreads; ++t) {
       threads.emplace_back([&, t, w] {
-        ThreadLeakGuard guard(TestFixture::kLeaksByDesign);
+        LeakCheckDisabler guard(TestFixture::kLeaksByDesign);
         Xoshiro256 rng(31 * w + t);
         for (int i = 0; i < 2000; ++i) {
           const std::uint64_t k = 1 + rng.next_below(kKeys);

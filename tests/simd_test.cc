@@ -27,6 +27,7 @@
 #include "common/simd.h"
 #include "core/skip_vector.h"
 #include "core/skip_vector_epoch.h"
+#include "lsan_guard.h"
 #include "sync/sequence_lock.h"
 #include "vectormap/vector_map.h"
 
@@ -40,41 +41,11 @@ using sv::vectormap::VectorMap;
 #if defined(__SANITIZE_THREAD__)
 #define SV_TEST_TSAN 1
 #endif
-#if defined(__SANITIZE_ADDRESS__)
-#define SV_TEST_ASAN 1
-#endif
 #if defined(__has_feature)
 #if __has_feature(thread_sanitizer)
 #define SV_TEST_TSAN 1
 #endif
-#if __has_feature(address_sanitizer)
-#define SV_TEST_ASAN 1
 #endif
-#endif
-
-#if defined(SV_TEST_ASAN)
-#include <sanitizer/lsan_interface.h>
-#endif
-
-// LeakSanitizer scope guard: the LeakReclaimer map variant below leaks its
-// retired nodes by design, which would otherwise fail the ASan lane. Every
-// other variant stays fully leak-checked.
-class ScopedLeakCheckDisabler {
- public:
-  explicit ScopedLeakCheckDisabler(bool active) : active_(active) {
-#if defined(SV_TEST_ASAN)
-    if (active_) __lsan_disable();
-#endif
-  }
-  ~ScopedLeakCheckDisabler() {
-#if defined(SV_TEST_ASAN)
-    if (active_) __lsan_enable();
-#endif
-  }
-
- private:
-  [[maybe_unused]] bool active_;
-};
 
 // The scalar atomic-load path must be provably selected when raw scans
 // would be invisible to TSan, and under the explicit escape hatch.
@@ -340,7 +311,7 @@ TYPED_TEST_SUITE(SimdMapParityTest, MapTypes);
 // The SIMD-routed read path (lookup, floor, ceiling -- every descent plus
 // every chunk search) agrees with std::map under each reclaimer variant.
 TYPED_TEST(SimdMapParityTest, ReadPathMatchesOracle) {
-  const ScopedLeakCheckDisabler allow_designed_leaks(
+  const sv::test::LeakCheckDisabler allow_designed_leaks(
       std::is_same_v<TypeParam,
                      sv::core::SkipVectorLeak<std::uint64_t, std::uint64_t>>);
   TypeParam m(sv::core::Config::for_elements(4096));

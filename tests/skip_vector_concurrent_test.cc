@@ -19,6 +19,7 @@
 #include "debug/fault_inject.h"
 #include "stats/stats.h"
 #include "txn/lock_mgr.h"
+#include "lsan_guard.h"
 
 namespace sv::core {
 namespace {
@@ -294,12 +295,15 @@ TEST(SkipVectorConcurrent, HazardPointersReclaimUnderChurn) {
 
 TEST(SkipVectorConcurrent, LeakReclaimerVariantRunsClean) {
   // SV-Leak: same algorithm, no reclamation. Must survive identical churn.
+  // Its unlinked chunks leak by design, on every thread that allocates.
+  const sv::test::LeakCheckDisabler body_guard;
   MapLeak m(SmallChunks());
   constexpr std::uint64_t kRange = 256;
   const unsigned kThreads = StressThreads();
   std::vector<std::thread> threads;
   for (unsigned t = 0; t < kThreads; ++t) {
     threads.emplace_back([&, t] {
+      const sv::test::LeakCheckDisabler guard;
       Xoshiro256 rng(111 + t);
       for (std::uint64_t i = 0; i < 40000; ++i) {
         const std::uint64_t k = rng.next_below(kRange);

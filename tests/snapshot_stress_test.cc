@@ -32,38 +32,12 @@
 #include "core/skip_vector_epoch.h"
 #include "debug/fault_inject.h"
 #include "stats/stats.h"
-
-#if defined(__SANITIZE_ADDRESS__)
-#define SV_TEST_ASAN 1
-#endif
-#if defined(__has_feature)
-#if __has_feature(address_sanitizer)
-#define SV_TEST_ASAN 1
-#endif
-#endif
-#if defined(SV_TEST_ASAN)
-#include <sanitizer/lsan_interface.h>
-#endif
+#include "lsan_guard.h"
 
 namespace sv::core {
 namespace {
 
-class ThreadLeakGuard {
- public:
-  explicit ThreadLeakGuard(bool active) : active_(active) {
-#if defined(SV_TEST_ASAN)
-    if (active_) __lsan_disable();
-#endif
-  }
-  ~ThreadLeakGuard() {
-#if defined(SV_TEST_ASAN)
-    if (active_) __lsan_enable();
-#endif
-  }
-
- private:
-  [[maybe_unused]] bool active_;
-};
+using sv::test::LeakCheckDisabler;
 
 template <class R, class A = alloc::MallocNodeAllocator>
 struct Policy {
@@ -90,16 +64,8 @@ class SnapshotStressTest : public testing::Test {
       std::is_same_v<typename P::Reclaimer, reclaim::LeakReclaimer> &&
       !P::Alloc::kPooled;
 
-  void SetUp() override {
-#if defined(SV_TEST_ASAN)
-    if (kLeaksByDesign) __lsan_disable();
-#endif
-  }
-  void TearDown() override {
-#if defined(SV_TEST_ASAN)
-    if (kLeaksByDesign) __lsan_enable();
-#endif
-  }
+  // Covers the test body's thread; workers construct their own.
+  const LeakCheckDisabler body_guard_{kLeaksByDesign};
 
   // Small chunks: maximum structural churn (splits/merges) per op.
   static Config Cfg() {
@@ -132,7 +98,7 @@ TYPED_TEST(SnapshotStressTest, ScansNeverRestartUnderWriteStorm) {
   // 3 writers: inserts, removes, updates, batches -- heavy split/merge.
   for (int t = 0; t < 3; ++t) {
     threads.emplace_back([&, t] {
-      ThreadLeakGuard guard(TestFixture::kLeaksByDesign);
+      LeakCheckDisabler guard(TestFixture::kLeaksByDesign);
       Xoshiro256 rng(100 + t);
       using Op = typename TestFixture::Map::BatchOp;
       while (!stop.load(std::memory_order_relaxed)) {
@@ -173,7 +139,7 @@ TYPED_TEST(SnapshotStressTest, ScansNeverRestartUnderWriteStorm) {
   // 2 snapshot readers: values must be self-consistent (stamped by key).
   for (int t = 0; t < 2; ++t) {
     threads.emplace_back([&, t] {
-      ThreadLeakGuard guard(TestFixture::kLeaksByDesign);
+      LeakCheckDisabler guard(TestFixture::kLeaksByDesign);
       Xoshiro256 rng(200 + t);
       while (!stop.load(std::memory_order_relaxed)) {
         const std::uint64_t lo = rng.next_below(kRange);
@@ -236,7 +202,7 @@ TYPED_TEST(SnapshotStressTest, BatchesAreAtomicUnderSnapshots) {
   // One batch writer advancing the generation (single writer: generations
   // are strictly ordered, so any mixed scan is unambiguously a torn batch).
   threads.emplace_back([&] {
-    ThreadLeakGuard guard(TestFixture::kLeaksByDesign);
+    LeakCheckDisabler guard(TestFixture::kLeaksByDesign);
     for (std::uint64_t gen = 1; !stop.load(std::memory_order_relaxed);
          ++gen) {
       std::vector<Op> ops;
@@ -249,7 +215,7 @@ TYPED_TEST(SnapshotStressTest, BatchesAreAtomicUnderSnapshots) {
   // Noise writers OUTSIDE the generation range: force splits/merges of the
   // chunks holding generation keys without touching their values.
   threads.emplace_back([&] {
-    ThreadLeakGuard guard(TestFixture::kLeaksByDesign);
+    LeakCheckDisabler guard(TestFixture::kLeaksByDesign);
     Xoshiro256 rng(7);
     while (!stop.load(std::memory_order_relaxed)) {
       const std::uint64_t k = kKeys + rng.next_below(256);
@@ -264,7 +230,7 @@ TYPED_TEST(SnapshotStressTest, BatchesAreAtomicUnderSnapshots) {
   // carrying one single generation value.
   for (int t = 0; t < 2; ++t) {
     threads.emplace_back([&, t] {
-      ThreadLeakGuard guard(TestFixture::kLeaksByDesign);
+      LeakCheckDisabler guard(TestFixture::kLeaksByDesign);
       while (!stop.load(std::memory_order_relaxed)) {
         auto snap = m.snapshot(0, kKeys - 1);
         if (snap.size() != kKeys) {
@@ -296,7 +262,7 @@ TYPED_TEST(SnapshotStressTest, BatchesAreAtomicUnderSnapshots) {
 // concurrently pinned views each resolve their own version.
 TYPED_TEST(SnapshotStressTest, PinnedViewsSurviveChurn) {
   typename TestFixture::Map m(TestFixture::Cfg());
-  ThreadLeakGuard guard(TestFixture::kLeaksByDesign);
+  LeakCheckDisabler guard(TestFixture::kLeaksByDesign);
   constexpr std::uint64_t kRange = 256;
   for (std::uint64_t k = 0; k < kRange; ++k) ASSERT_TRUE(m.insert(k, 1));
 
@@ -307,7 +273,7 @@ TYPED_TEST(SnapshotStressTest, PinnedViewsSurviveChurn) {
     std::vector<std::thread> churn;
     for (int t = 0; t < 3; ++t) {
       churn.emplace_back([&, t] {
-        ThreadLeakGuard tguard(TestFixture::kLeaksByDesign);
+        LeakCheckDisabler tguard(TestFixture::kLeaksByDesign);
         Xoshiro256 rng(300 + t);
         for (int i = 0; i < 20'000; ++i) {
           const std::uint64_t k = rng.next_below(kRange);
@@ -359,7 +325,7 @@ TYPED_TEST(SnapshotStressTest, PinnedViewsSurviveChurn) {
 // locked path (unversioned) and still returns a consistent result.
 TYPED_TEST(SnapshotStressTest, RegistryFullFallsBackUnversioned) {
   typename TestFixture::Map m(TestFixture::Cfg());
-  ThreadLeakGuard guard(TestFixture::kLeaksByDesign);
+  LeakCheckDisabler guard(TestFixture::kLeaksByDesign);
   for (std::uint64_t k = 0; k < 32; ++k) ASSERT_TRUE(m.insert(k, k));
 
   using View = typename TestFixture::Map::SnapshotView;
@@ -462,7 +428,7 @@ TYPED_TEST(SnapshotStressTest, ChainWalkSurvivesSplitFold) {
     EXPECT_TRUE(view.versioned());
     GrowChain(m, 10, 5);
     const auto [out, trace] = ParkedScan(m, view, [&m] {
-      ThreadLeakGuard guard(kLeaks);
+      LeakCheckDisabler guard(kLeaks);
       EXPECT_TRUE(m.insert_with_height(25, 25, 1));
       EXPECT_TRUE(m.insert_with_height(15, 15, 1));
       EXPECT_TRUE(m.insert_with_height(35, 35, 1));
@@ -509,7 +475,7 @@ TYPED_TEST(SnapshotStressTest, ChainWalkSurvivesMergeFold) {
     EXPECT_TRUE(view.versioned());
     GrowChain(m, 50, 5);
     const auto [out, trace] = ParkedScan(m, view, [&m] {
-      ThreadLeakGuard guard(kLeaks);
+      LeakCheckDisabler guard(kLeaks);
       EXPECT_TRUE(m.insert_with_height(66, 66, 0));
       EXPECT_TRUE(m.insert_with_height(52, 52, 1));
       EXPECT_TRUE(m.insert_with_height(60, 60, 1));

@@ -862,9 +862,8 @@ TEST(TxnPinned, MovedTxnKeepsItsPins) {
   EXPECT_EQ(m.lookup(4), std::optional<std::uint64_t>(40));
 }
 
-// Hazard-pointer maps pin their reads, whether a descent or the hash
-// sidecar answers them; the EBR, Leak and Immediate reclaimers read
-// unpinned. Either way the commit validates every read.
+// Hazard-pointer maps pin their reads; the EBR, Leak and Immediate
+// reclaimers read unpinned. Either way the commit validates every read.
 template <class M>
 void RmwCommitsAndStaleReadFails(bool pinned) {
   EXPECT_EQ(txn::kPinnedReads<M>, pinned);
@@ -892,7 +891,6 @@ void RmwCommitsAndStaleReadFails(bool pinned) {
 TEST(TxnPinned, OnlyHazardPointerMapsPin) {
   using K = std::uint64_t;
   RmwCommitsAndStaleReadFails<Map>(true);
-  RmwCommitsAndStaleReadFails<SkipVectorHash<K, K>>(true);
   RmwCommitsAndStaleReadFails<SkipVectorEpoch<K, K>>(false);
   RmwCommitsAndStaleReadFails<SkipVectorLeak<K, K>>(false);
   RmwCommitsAndStaleReadFails<SkipVectorSeq<K, K>>(false);

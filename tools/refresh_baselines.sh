@@ -47,13 +47,10 @@ fi
 mkdir -p "$out_dir"
 
 # ---- Pinned configurations (keep ci/baselines/README.md in sync) ----------
-# fig4 carries the hash-sidecar column (--hash, docs/HASH_INDEX.md) across
-# the full 1..8 thread ladder: the SV-HP-Hash rows are what pins the
-# "sidecar beats SV-HP on the 80/10/10 point mix" claim.
 "$build_dir/bench/fig1_sequential" --min-bits=8 --max-bits=16 \
   --seconds=0.1 --trials=2 --json="$out_dir/BENCH_fig1.json"
 "$build_dir/bench/fig4_mix801010" --range-bits=16 --threads=1,2,4,8 \
-  --seconds=0.3 --trials=4 --hash --json="$out_dir/BENCH_fig4.json"
+  --seconds=0.3 --trials=4 --json="$out_dir/BENCH_fig4.json"
 "$build_dir/bench/fig5_mix05050" --range-bits=16 --threads=2,4 \
   --seconds=0.25 --trials=2 --pool --json="$out_dir/BENCH_fig5.json"
 # fig7b carries the layout matrix plus the data-layout sweep: the
