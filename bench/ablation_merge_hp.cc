@@ -45,6 +45,10 @@ double throughput(const sv::core::Config& cfg, const MixSpec& mix,
 
 int main(int argc, char** argv) {
   Options opt(argc, argv);
+  if (!opt.only_known("ablation_merge_hp",
+                       {"range-bits", "threads", "seconds", "json"})) {
+    return 2;
+  }
   if (opt.help_requested()) {
     std::printf(
         "ablation_merge_hp: HP overhead by key range; mergeThreshold sweep\n"

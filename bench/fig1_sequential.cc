@@ -44,6 +44,11 @@ double run_cell(Map& m, std::uint64_t key_range, double seconds,
 
 int main(int argc, char** argv) {
   Options opt(argc, argv);
+  if (!opt.only_known("fig1_sequential",
+                       {"min-bits", "max-bits", "seconds", "trials",
+                        "json"})) {
+    return 2;
+  }
   if (opt.help_requested()) {
     std::printf(
         "fig1_sequential: sequential 80/10/10 set benchmark vs key range\n"

@@ -8,6 +8,7 @@
 
 int main(int argc, char** argv) {
   svbench::Options opt(argc, argv);
+  if (!svbench::sweep_options_known(opt, "fig4_mix801010")) return 2;
   if (opt.help_requested()) {
     svbench::print_sweep_help("fig4_mix801010", "80/10/10");
     return 0;

@@ -8,6 +8,7 @@
 
 int main(int argc, char** argv) {
   svbench::Options opt(argc, argv);
+  if (!svbench::sweep_options_known(opt, "fig5_mix05050")) return 2;
   if (opt.help_requested()) {
     svbench::print_sweep_help("fig5_mix05050", "0/50/50");
     return 0;

@@ -61,6 +61,11 @@ double run_cell(const sv::core::Config& index_cfg, std::uint64_t rows,
 
 int main(int argc, char** argv) {
   Options opt(argc, argv);
+  if (!opt.only_known("fig6_ycsb",
+                       {"rows", "scans", "scan-len", "workload", "txns",
+                        "threads", "thetas", "json"})) {
+    return 2;
+  }
   if (opt.help_requested()) {
     std::printf(
         "fig6_ycsb: YCSB/DBx1000-style index throughput (SV vs USL vs SL)\n"

@@ -35,6 +35,11 @@ double run_cell(const sv::core::Config& cfg, std::uint64_t range,
 
 int main(int argc, char** argv) {
   Options opt(argc, argv);
+  if (!opt.only_known("fig7a_sensitivity",
+                       {"range-bits", "threads", "seconds", "trials", "sizes",
+                        "json"})) {
+    return 2;
+  }
   if (opt.help_requested()) {
     std::printf(
         "fig7a_sensitivity: throughput vs target vector sizes\n"

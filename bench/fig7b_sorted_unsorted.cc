@@ -138,6 +138,11 @@ double measure_sweep_trial(Map& map, bool scan_heavy, std::uint64_t range,
 
 int main(int argc, char** argv) {
   Options opt(argc, argv);
+  if (!opt.only_known("fig7b_sorted_unsorted",
+                       {"range-bits", "sweep-range-bits", "sweep-tdata",
+                        "threads", "seconds", "trials", "json"})) {
+    return 2;
+  }
   if (opt.help_requested()) {
     std::printf(
         "fig7b_sorted_unsorted: chunk layout combinations (80/10/10)\n"

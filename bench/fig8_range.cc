@@ -133,6 +133,11 @@ double run_scan_under_writers(Map& map, std::uint64_t key_range,
 
 int main(int argc, char** argv) {
   Options opt(argc, argv);
+  if (!opt.only_known("fig8_range",
+                       {"range-bits", "spans", "threads", "seconds", "shards",
+                        "writers", "json"})) {
+    return 2;
+  }
   if (opt.help_requested()) {
     std::printf(
         "fig8_range: mutating range-query throughput, SV vs non-chunked SL\n"

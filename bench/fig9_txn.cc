@@ -118,6 +118,11 @@ double run_tpcc_cell(std::uint32_t warehouses, unsigned threads,
 
 int main(int argc, char** argv) {
   Options opt(argc, argv);
+  if (!opt.only_known("fig9_txn",
+                       {"rows", "txns", "read-frac", "threads", "thetas",
+                        "warehouses", "json"})) {
+    return 2;
+  }
   if (opt.help_requested()) {
     std::printf(
         "fig9_txn: sv::txn transaction throughput (YCSB-T + TPC-C-lite)\n"

@@ -70,6 +70,10 @@ LatencyHistogram run(Map& map, std::uint64_t range, unsigned threads,
 
 int main(int argc, char** argv) {
   Options opt(argc, argv);
+  if (!opt.only_known("latency_percentiles",
+                       {"range-bits", "threads", "seconds", "json"})) {
+    return 2;
+  }
   if (opt.help_requested()) {
     std::printf(
         "latency_percentiles: per-op latency tails, SV-HP vs FSL\n"

@@ -52,6 +52,14 @@ inline SweepConfig sweep_from_options(const Options& opt) {
   return s;
 }
 
+// The flags sweep_from_options reads, plus --json; fig4 and fig5 exit 2 on
+// any other.
+inline bool sweep_options_known(const Options& opt, const char* figure) {
+  return opt.only_known(figure, {"range-bits", "threads", "seconds", "trials",
+                                 "no-usl-hp", "tuned", "lazy", "pool", "zipf",
+                                 "json"});
+}
+
 inline void print_sweep_help(const char* figure, const char* mix) {
   std::printf(
       "%s: concurrent %s throughput sweep (SV vs USL vs FSL)\n"

@@ -117,13 +117,21 @@ class FraserSkipList {
       // Build the tower bottom-up; re-find on interference.
       for (int i = 1; i < height; ++i) {
         for (;;) {
-          if (is_marked(node->next_word(i)) ||
-              is_marked(node->next_word(0))) {
+          std::uintptr_t cur = node->next_word(i);
+          if (is_marked(cur) || is_marked(node->next_word(0))) {
             return true;  // concurrently removed; stop helping ourselves
           }
-          std::uintptr_t exp = pack(succs[i], false);
-          if (node->next[i].load(std::memory_order_acquire) != exp) {
-            node->next[i].store(exp, std::memory_order_release);
+          // Re-aim level i at the fresh successor with a CAS from the
+          // unmarked word just read: a plain store could overwrite a mark
+          // a concurrent remover set in between, and the node would then
+          // stay linked at level i after its removal. Only a remover
+          // changes this word while level i is unlinked, so a failed CAS
+          // means the node is being removed.
+          const std::uintptr_t exp = pack(succs[i], false);
+          if (cur != exp &&
+              !node->next[i].compare_exchange_strong(
+                  cur, exp, std::memory_order_acq_rel)) {
+            return true;
           }
           std::uintptr_t pexp = pack(succs[i], false);
           if (preds[i]->next[i].compare_exchange_strong(

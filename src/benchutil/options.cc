@@ -1,5 +1,6 @@
 #include "benchutil/options.h"
 
+#include <cstdio>
 #include <cstdlib>
 #include <stdexcept>
 
@@ -37,6 +38,17 @@ void Options::reject_unknown(
     }
     if (!known) throw std::invalid_argument("unknown option: --" + key);
   }
+}
+
+bool Options::only_known(
+    const char* prog, std::initializer_list<std::string_view> allowed) const {
+  try {
+    reject_unknown(allowed);
+  } catch (const std::invalid_argument& e) {
+    std::fprintf(stderr, "%s: %s\n", prog, e.what());
+    return false;
+  }
+  return true;
 }
 
 std::uint64_t Options::parse_u64(const std::string& s) {

@@ -32,6 +32,12 @@ class Options {
   // instead of silently running with the default.
   void reject_unknown(std::initializer_list<std::string_view> allowed) const;
 
+  // reject_unknown for a bench's main: reports an unknown option on stderr
+  // as "<prog>: unknown option: --x" and returns false, so main can exit 2
+  // (bad arguments) rather than abort on the exception.
+  bool only_known(const char* prog,
+                  std::initializer_list<std::string_view> allowed) const;
+
   static std::uint64_t parse_u64(const std::string& s);
 
  private:

@@ -47,9 +47,14 @@ inline std::uint64_t tsc_now() noexcept {
 // Read-prefetch hint. Never faults, even on stale or concurrently-retired
 // pointers, so it is safe to issue on a speculatively-loaded next/down
 // pointer before the seqlock validation that proves the pointer was
-// current (src/core/skip_vector.h descent loops).
+// current (src/core/skip_vector.h descent loops). On x86-64 it is an asm
+// statement rather than __builtin_prefetch: GCC 12 deletes a loop whose
+// body is only __builtin_prefetch calls, which removed the chunk-arrival
+// prefetch loop from most of its inlined call sites.
 inline void prefetch_read(const void* p) noexcept {
-#if defined(__GNUC__) || defined(__clang__)
+#if defined(__x86_64__)
+  asm volatile("prefetcht0 (%0)" : : "r"(p));
+#elif defined(__GNUC__) || defined(__clang__)
   __builtin_prefetch(p, /*rw=*/0, /*locality=*/3);
 #else
   (void)p;

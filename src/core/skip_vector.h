@@ -1268,17 +1268,36 @@ class SkipVectorMap {
   };
   static int other_slot(int s) noexcept { return s ^ 1; }
 
-  // Prefetch-ahead during traversal ("Skiplists with Foresight"): issue the
-  // read hint on a speculatively-loaded right/down pointer immediately,
-  // before the seqlock validation that proves the pointer was current. A
-  // prefetch never faults, so hinting a stale or already-retired node is
-  // harmless; when the pointer is good, its header plus the start of its
-  // key array ([node | keys | vals] is one contiguous allocation) is in
-  // flight by the time validation completes and the node is scanned.
-  static void prefetch_node(const NodeBase* n) noexcept {
-    const char* p = reinterpret_cast<const char*>(n);
-    prefetch_read(p);
-    prefetch_read(p + kCacheLineSize);
+  // Prefetch on chunk arrival ("Skiplists with Foresight", PAPERS.md):
+  // every step onto a chunk of `layer` -- right or down, in descents,
+  // scans, the txn lock pass and a range's growing phase -- requests the
+  // chunk's header line and every line of its key array as soon as the
+  // pointer is loaded, before the seqlock validation (or lock) that proves
+  // it current. The size read, the binary search and the stop check on
+  // keys[size-1] then find their lines already in flight instead of
+  // waiting on one dependent miss after another. The key array is sized by
+  // the layer's configured capacity through alloc::NodeLayout, because the
+  // chunk's own `capacity` sits in the header line that has not arrived
+  // yet. The hint stops after kMaxArrivalPrefetch bytes: a default chunk
+  // (T = 32) needs 10 lines, and hinting all 66 lines of a T_D = 256 chunk,
+  // whose binary search reads only a few of them, cost Fig. 7a 15%. Value
+  // lines are not hinted: hinting the whole node cost svbench point-hot
+  // 3.4%, and searching out the value run a range visit reads in order to
+  // hint it cost scan more than it saved. Measurements: EXPERIMENTS.md,
+  // "Chunk arrival prefetch". A prefetch never faults, so hinting a stale
+  // or already-retired node is harmless.
+  static constexpr std::size_t kMaxArrivalPrefetch = 16 * kCacheLineSize;
+
+  void prefetch_chunk(const NodeBase* n, std::uint8_t layer) const noexcept {
+    const std::size_t keys_end =
+        layer ? node_layout<IndexNode, NodeBase*>(config_.index_capacity())
+                    .vals_off
+              : node_layout<DataNode, V>(config_.data_capacity()).vals_off;
+    const std::size_t end = std::min(keys_end, kMaxArrivalPrefetch);
+    const char* p = reinterpret_cast<const char*>(n);  // nodes start a line
+    for (std::size_t off = 0; off < end; off += kCacheLineSize) {
+      prefetch_read(p + off);
+    }
   }
 
   // Opens a speculative read of n. Point operations wait out a writer
@@ -1317,7 +1336,7 @@ class SkipVectorMap {
       if (sz != 0 && !(k > node_max_key(t.node))) break;  // speculative stop
       NodeBase* next = t.node->next.load(std::memory_order_acquire);
       if (next == nullptr) break;  // no right sibling (the paper's top sentinel)
-      prefetch_node(next);
+      prefetch_chunk(next, t.node->layer);
       const int nslot = other_slot(t.slot);
       ctx.protect(nslot, next);
       if (!t.node->lock.validate(t.ver)) return false;  // also validates HP
@@ -1397,7 +1416,7 @@ class SkipVectorMap {
   // ExchangeDown (Listing 2 lines 17-22): hand-over-hand move one layer down.
   template <bool kNoWait = false>
   bool exchange_down(Ctx& ctx, Trav& t, NodeBase* down) {
-    prefetch_node(down);
+    prefetch_chunk(down, static_cast<std::uint8_t>(t.node->layer - 1));
     const int nslot = other_slot(t.slot);
     ctx.protect(nslot, down);
     if (!t.node->lock.validate(t.ver)) return false;
@@ -1872,7 +1891,7 @@ class SkipVectorMap {
         ctx.drop_all();
         return true;
       }
-      prefetch_node(next);
+      prefetch_chunk(next, 0);
       const int nslot = other_slot(t.slot);
       ctx.protect(nslot, next);
       if (!t.node->lock.validate(t.ver)) return false;
@@ -1900,7 +1919,7 @@ class SkipVectorMap {
     for (;;) {
       NodeBase* next = t.node->next.load(std::memory_order_acquire);
       if (next == nullptr) break;
-      prefetch_node(next);
+      prefetch_chunk(next, t.node->layer);
       const int nslot = t.slot ^ 1;  // ping-pong within {0, 1}
       ctx.protect(nslot, next);
       if (!t.node->lock.validate(t.ver)) return false;
@@ -1946,6 +1965,34 @@ class SkipVectorMap {
 
   // ---- Range implementation ---------------------------------------------------
 
+  // The data chunks a range holds write-locked, left to right. Most ranges
+  // lock a few chunks, so the list lives inline and moves to the heap only
+  // for long ranges. It is a local rather than a thread_local buffer
+  // because a range body may itself range over another map of this type.
+  class LockedChunks {
+   public:
+    void push_back(NodeBase* n) {
+      if (size_ == kInline) spill_.assign(inline_.begin(), inline_.end());
+      if (size_ < kInline) {
+        inline_[size_] = n;
+      } else {
+        spill_.push_back(n);
+      }
+      ++size_;
+    }
+    NodeBase* const* begin() const noexcept {
+      return size_ > kInline ? spill_.data() : inline_.data();
+    }
+    NodeBase* const* end() const noexcept { return begin() + size_; }
+    NodeBase* back() const noexcept { return end()[-1]; }
+
+   private:
+    static constexpr std::size_t kInline = 8;
+    std::array<NodeBase*, kInline> inline_{};
+    std::vector<NodeBase*> spill_;
+    std::size_t size_ = 0;
+  };
+
   // Write-lock the data nodes covering [lo, hi] left to right, call
   // body(node) on each (body returns its visit count), release all.
   // Returns the total number of mappings visited.
@@ -1981,13 +2028,14 @@ class SkipVectorMap {
     // lock (a commit midway through {remove(m), put(m')}) can show a
     // minimum larger than in any committed state. Waiting for it is fine,
     // as this phase already blocks in acquire().
-    std::vector<NodeBase*> locked;
+    LockedChunks locked;
     locked.push_back(t.node);
     ctx.drop_all();
     for (;;) {
       NodeBase* last = locked.back();
       NodeBase* next = last->next.load(std::memory_order_acquire);
       if (next == nullptr) break;
+      prefetch_chunk(next, 0);
       bool beyond = false;
       for (;;) {
         const Word w = next->lock.read_begin();

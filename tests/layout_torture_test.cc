@@ -83,7 +83,9 @@ TYPED_TEST(LayoutTortureTest, DifferentialAcrossSplitsAndMerges) {
         auto it = oracle.find(k);
         auto got = m.lookup(k);
         ASSERT_EQ(got.has_value(), it != oracle.end()) << "lookup " << k;
-        if (got) ASSERT_EQ(*got, it->second) << "lookup value " << k;
+        if (got) {
+          ASSERT_EQ(*got, it->second) << "lookup value " << k;
+        }
       } else if (rng.next_below(2) == 0) {
         const std::uint64_t v = rng.next();
         ASSERT_EQ(m.insert(k, v), oracle.emplace(k, v).second)

@@ -154,5 +154,118 @@ TYPED_TEST(RangeScanStressTest, ScansObserveLegalSnapshots) {
   EXPECT_TRUE(m.validate(&err)) << err;
 }
 
+// Scans and transforms whose windows lock more data chunks than the range's
+// inline chunk list holds (it spills to the heap past 8), racing inserts
+// and removes. Every window holds at least 320 anchors, so at least 40
+// chunks of capacity 8. Anchors are never removed: each scan must deliver
+// each anchor in its window once, in ascending order, and each anchor's
+// count (the value's low half) must end equal to the number of transforms
+// whose window covered it.
+TYPED_TEST(RangeScanStressTest, LongRangesVisitEachKeyOnce) {
+  typename TestFixture::Map m(TestFixture::Cfg());
+  constexpr std::uint64_t kRange = 2048;
+  constexpr std::uint64_t kAnchorStride = 4;
+  constexpr std::uint64_t kMinWindow = 320 * kAnchorStride;
+  constexpr std::uint64_t kAnchors = kRange / kAnchorStride;
+  constexpr int kMutators = 2;
+  constexpr int kTransformers = 2;
+  static_assert(kMinWindow / kAnchorStride / 8 >= 40);
+
+  for (std::uint64_t k = 0; k < kRange; k += kAnchorStride) {
+    ASSERT_TRUE(m.insert(k, k << 32));
+  }
+  std::atomic<bool> stop{false};
+  std::atomic<std::uint64_t> errors{0};
+  std::vector<std::vector<std::uint64_t>> covered(
+      kTransformers, std::vector<std::uint64_t>(kAnchors, 0));
+  auto window = [](Xoshiro256& rng) {
+    const std::uint64_t lo = rng.next_below(kRange - kMinWindow);
+    return std::pair{lo, lo + kMinWindow - 1 +
+                             rng.next_below(kRange - kMinWindow - lo + 1)};
+  };
+  // Strictly ascending keys inside [lo, hi], with every anchor of [lo, hi]
+  // among them.
+  auto check = [&](const std::vector<std::uint64_t>& keys, std::uint64_t lo,
+                   std::uint64_t hi) {
+    std::uint64_t anchors = 0;
+    for (std::size_t i = 0; i < keys.size(); ++i) {
+      if (keys[i] < lo || keys[i] > hi) errors.fetch_add(1);
+      if (i > 0 && keys[i] <= keys[i - 1]) errors.fetch_add(1);
+      if (keys[i] % kAnchorStride == 0) ++anchors;
+    }
+    const std::uint64_t first = (lo + kAnchorStride - 1) / kAnchorStride;
+    if (anchors != hi / kAnchorStride - first + 1) errors.fetch_add(1);
+  };
+
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kMutators; ++t) {
+    threads.emplace_back([&, t] {
+      const LeakCheckDisabler guard(TestFixture::kLeaksByDesign);
+      Xoshiro256 rng(300 + t);
+      for (int i = 0; i < 6000; ++i) {
+        const std::uint64_t k = rng.next_below(kRange);
+        if (k % kAnchorStride == 0) continue;
+        if (rng.next_below(2) == 0) {
+          m.insert(k, k << 32);
+        } else {
+          m.remove(k);
+        }
+      }
+    });
+  }
+  for (int t = 0; t < kTransformers; ++t) {
+    threads.emplace_back([&, t] {
+      const LeakCheckDisabler guard(TestFixture::kLeaksByDesign);
+      Xoshiro256 rng(400 + t);
+      std::vector<std::uint64_t> keys;
+      for (int i = 0; i < 40; ++i) {
+        const auto [lo, hi] = window(rng);
+        keys.clear();
+        const std::size_t n =
+            m.range_transform(lo, hi, [&](std::uint64_t k, std::uint64_t v) {
+              keys.push_back(k);
+              if ((v >> 32) != k) errors.fetch_add(1);
+              return v + 1;
+            });
+        if (n != keys.size()) errors.fetch_add(1);
+        check(keys, lo, hi);
+        for (std::uint64_t a = (lo + kAnchorStride - 1) / kAnchorStride;
+             a <= hi / kAnchorStride; ++a) {
+          ++covered[t][a];
+        }
+      }
+    });
+  }
+  threads.emplace_back([&] {
+    const LeakCheckDisabler guard(TestFixture::kLeaksByDesign);
+    Xoshiro256 rng(500);
+    std::vector<std::uint64_t> keys;
+    while (!stop.load(std::memory_order_relaxed)) {
+      const auto [lo, hi] = window(rng);
+      keys.clear();
+      m.range_for_each(lo, hi, [&](std::uint64_t k, std::uint64_t v) {
+        keys.push_back(k);
+        if ((v >> 32) != k) errors.fetch_add(1);
+      });
+      check(keys, lo, hi);
+    }
+  });
+
+  for (int t = 0; t < kMutators + kTransformers; ++t) threads[t].join();
+  stop.store(true);
+  threads.back().join();
+
+  EXPECT_EQ(errors.load(), 0u);
+  for (std::uint64_t a = 0; a < kAnchors; ++a) {
+    std::uint64_t expect = 0;
+    for (int t = 0; t < kTransformers; ++t) expect += covered[t][a];
+    const auto v = m.lookup(a * kAnchorStride);
+    ASSERT_TRUE(v.has_value()) << "anchor " << a * kAnchorStride;
+    EXPECT_EQ(*v & 0xffffffffu, expect) << "anchor " << a * kAnchorStride;
+  }
+  std::string err;
+  EXPECT_TRUE(m.validate(&err)) << err;
+}
+
 }  // namespace
 }  // namespace sv::core

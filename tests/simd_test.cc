@@ -202,7 +202,9 @@ void vectormap_oracle_parity() {
       const auto got = c.vm.get(k);
       const auto oit = oracle.find(k);
       EXPECT_EQ(got.has_value(), oit != oracle.end());
-      if (got && oit != oracle.end()) EXPECT_EQ(*got, oit->second);
+      if (got && oit != oracle.end()) {
+        EXPECT_EQ(*got, oit->second);
+      }
     }
     EXPECT_EQ(c.vm.min_key(), oracle.begin()->first);
     EXPECT_EQ(c.vm.max_key(), oracle.rbegin()->first);
@@ -325,13 +327,17 @@ TYPED_TEST(SimdMapParityTest, ReadPathMatchesOracle) {
   }
   for (int i = 0; i < 2048; ++i) {
     const std::uint64_t k = rng() % 8192;
-    if (oracle.erase(k) != 0) EXPECT_TRUE(m.remove(k));
+    if (oracle.erase(k) != 0) {
+      EXPECT_TRUE(m.remove(k));
+    }
   }
   for (std::uint64_t k = 0; k < 8192; k += 3) {
     const auto got = m.lookup(k);
     const auto it = oracle.find(k);
     ASSERT_EQ(got.has_value(), it != oracle.end()) << "k=" << k;
-    if (got) EXPECT_EQ(*got, it->second);
+    if (got) {
+      EXPECT_EQ(*got, it->second);
+    }
 
     const auto fl = m.floor(k);
     auto ub = oracle.upper_bound(k);

@@ -5,6 +5,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <map>
 #include <random>
 #include <string>
@@ -135,6 +136,72 @@ TEST(SkipVectorBasics, RemoveEverythingLeavesCleanSkeleton) {
   std::size_t n = 0;
   m.for_each([&](std::uint64_t, std::uint64_t) { ++n; });
   EXPECT_EQ(n, 0u);
+}
+
+// Ranges that lock far more data chunks than the range's inline chunk list
+// holds (it spills to the heap past 8): with chunks of capacity 8, the 800
+// keys of [100, 899] sit in at least 100 chunks. range_for_each must deliver
+// the oracle's sequence, and range_transform must apply fn once per key, in
+// ascending order for sorted chunks, under both data layouts.
+TEST(SkipVectorBasics, LongRangesMatchOracle) {
+  for (const Layout data : {Layout::kSorted, Layout::kUnsorted}) {
+    SCOPED_TRACE(vectormap::layout_name(data));
+    Config c;
+    c.layer_count = 4;
+    c.target_data_vector_size = 4;
+    c.target_index_vector_size = 4;
+    c.data_layout = data;
+    SkipVectorMap<std::uint64_t, std::uint64_t, reclaim::ImmediateReclaimer> m(
+        c);
+    std::map<std::uint64_t, std::uint64_t> oracle;
+    std::vector<std::uint64_t> keys;
+    for (std::uint64_t k = 0; k < 1000; ++k) keys.push_back(k);
+    std::shuffle(keys.begin(), keys.end(), std::mt19937_64(7));
+    for (const std::uint64_t k : keys) {
+      ASSERT_TRUE(m.insert(k, k * 3));
+      oracle.emplace(k, k * 3);
+    }
+    constexpr std::uint64_t kLo = 100;
+    constexpr std::uint64_t kHi = 899;
+    ASSERT_GE((kHi - kLo + 1) / c.data_capacity(), 40u);
+
+    using Pairs = std::vector<std::pair<std::uint64_t, std::uint64_t>>;
+    Pairs got;
+    const std::size_t visited = m.range_for_each(
+        kLo, kHi,
+        [&](std::uint64_t k, std::uint64_t v) { got.emplace_back(k, v); });
+    const Pairs expect(oracle.lower_bound(kLo), oracle.upper_bound(kHi));
+    ASSERT_EQ(got, expect);
+    ASSERT_EQ(visited, expect.size());
+
+    std::map<std::uint64_t, int> applied;
+    std::uint64_t prev = 0;
+    bool ascending = true;
+    const std::size_t transformed = m.range_transform(
+        kLo, kHi, [&](std::uint64_t k, std::uint64_t v) {
+          if (!applied.empty() && k <= prev) ascending = false;
+          prev = k;
+          ++applied[k];
+          return v + 1;
+        });
+    for (auto it = oracle.lower_bound(kLo);
+         it != oracle.end() && it->first <= kHi; ++it) {
+      ++it->second;
+    }
+    ASSERT_EQ(transformed, expect.size());
+    ASSERT_EQ(applied.size(), expect.size());
+    for (const auto& [k, n] : applied) ASSERT_EQ(n, 1) << "key " << k;
+    if (data == Layout::kSorted) {
+      EXPECT_TRUE(ascending);
+    }
+
+    got.clear();
+    m.for_each(
+        [&](std::uint64_t k, std::uint64_t v) { got.emplace_back(k, v); });
+    ASSERT_EQ(got, Pairs(oracle.begin(), oracle.end()));
+    std::string err;
+    ASSERT_TRUE(m.validate(&err)) << err;
+  }
 }
 
 struct GridParam {
