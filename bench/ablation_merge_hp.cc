@@ -43,12 +43,8 @@ double throughput(const sv::core::Config& cfg, const MixSpec& mix,
 
 }  // namespace
 
-int main(int argc, char** argv) {
-  Options opt(argc, argv);
-  if (!opt.only_known("ablation_merge_hp",
-                       {"range-bits", "threads", "seconds", "json"})) {
-    return 2;
-  }
+static int run(const Options& opt) {
+  opt.reject_unknown({"range-bits", "threads", "seconds", "json"});
   if (opt.help_requested()) {
     std::printf(
         "ablation_merge_hp: HP overhead by key range; mergeThreshold sweep\n"
@@ -151,4 +147,8 @@ int main(int argc, char** argv) {
   }
   if (!json_path.empty() && !report.write(json_path)) return 1;
   return 0;
+}
+
+int main(int argc, char** argv) {
+  return sv::benchutil::bench_main("ablation_merge_hp", argc, argv, run);
 }

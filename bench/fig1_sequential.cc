@@ -42,13 +42,9 @@ double run_cell(Map& m, std::uint64_t key_range, double seconds,
 
 }  // namespace
 
-int main(int argc, char** argv) {
-  Options opt(argc, argv);
-  if (!opt.only_known("fig1_sequential",
-                       {"min-bits", "max-bits", "seconds", "trials",
-                        "json"})) {
-    return 2;
-  }
+static int run(const Options& opt) {
+  opt.reject_unknown({"min-bits", "max-bits", "seconds", "trials",
+                      "json"});
   if (opt.help_requested()) {
     std::printf(
         "fig1_sequential: sequential 80/10/10 set benchmark vs key range\n"
@@ -118,4 +114,8 @@ int main(int argc, char** argv) {
   }
   if (!json_path.empty() && !report.write(json_path)) return 1;
   return 0;
+}
+
+int main(int argc, char** argv) {
+  return sv::benchutil::bench_main("fig1_sequential", argc, argv, run);
 }

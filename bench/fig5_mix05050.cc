@@ -6,9 +6,8 @@
 
 #include "mix_bench.h"
 
-int main(int argc, char** argv) {
-  svbench::Options opt(argc, argv);
-  if (!svbench::sweep_options_known(opt, "fig5_mix05050")) return 2;
+static int run(const svbench::Options& opt) {
+  svbench::reject_unknown_sweep_options(opt);
   if (opt.help_requested()) {
     svbench::print_sweep_help("fig5_mix05050", "0/50/50");
     return 0;
@@ -22,4 +21,8 @@ int main(int argc, char** argv) {
                      json_path.empty() ? nullptr : &report);
   if (!json_path.empty() && !report.write(json_path)) return 1;
   return 0;
+}
+
+int main(int argc, char** argv) {
+  return sv::benchutil::bench_main("fig5_mix05050", argc, argv, run);
 }

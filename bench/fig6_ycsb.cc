@@ -59,13 +59,9 @@ double run_cell(const sv::core::Config& index_cfg, std::uint64_t rows,
 
 }  // namespace
 
-int main(int argc, char** argv) {
-  Options opt(argc, argv);
-  if (!opt.only_known("fig6_ycsb",
-                       {"rows", "scans", "scan-len", "workload", "txns",
-                        "threads", "thetas", "json"})) {
-    return 2;
-  }
+static int run(const Options& opt) {
+  opt.reject_unknown({"rows", "scans", "scan-len", "workload", "txns",
+                      "threads", "thetas", "json"});
   if (opt.help_requested()) {
     std::printf(
         "fig6_ycsb: YCSB/DBx1000-style index throughput (SV vs USL vs SL)\n"
@@ -151,4 +147,8 @@ int main(int argc, char** argv) {
   }
   if (!json_path.empty() && !report.write(json_path)) return 1;
   return 0;
+}
+
+int main(int argc, char** argv) {
+  return sv::benchutil::bench_main("fig6_ycsb", argc, argv, run);
 }

@@ -33,13 +33,9 @@ double run_cell(const sv::core::Config& cfg, std::uint64_t range,
 
 }  // namespace
 
-int main(int argc, char** argv) {
-  Options opt(argc, argv);
-  if (!opt.only_known("fig7a_sensitivity",
-                       {"range-bits", "threads", "seconds", "trials", "sizes",
-                        "json"})) {
-    return 2;
-  }
+static int run(const Options& opt) {
+  opt.reject_unknown({"range-bits", "threads", "seconds", "trials", "sizes",
+                      "json"});
   if (opt.help_requested()) {
     std::printf(
         "fig7a_sensitivity: throughput vs target vector sizes\n"
@@ -101,4 +97,8 @@ int main(int argc, char** argv) {
   }
   if (!json_path.empty() && !report.write(json_path)) return 1;
   return 0;
+}
+
+int main(int argc, char** argv) {
+  return sv::benchutil::bench_main("fig7a_sensitivity", argc, argv, run);
 }

@@ -136,13 +136,9 @@ double measure_sweep_trial(Map& map, bool scan_heavy, std::uint64_t range,
 
 }  // namespace
 
-int main(int argc, char** argv) {
-  Options opt(argc, argv);
-  if (!opt.only_known("fig7b_sorted_unsorted",
-                       {"range-bits", "sweep-range-bits", "sweep-tdata",
-                        "threads", "seconds", "trials", "json"})) {
-    return 2;
-  }
+static int run(const Options& opt) {
+  opt.reject_unknown({"range-bits", "sweep-range-bits", "sweep-tdata",
+                      "threads", "seconds", "trials", "json"});
   if (opt.help_requested()) {
     std::printf(
         "fig7b_sorted_unsorted: chunk layout combinations (80/10/10)\n"
@@ -246,4 +242,8 @@ int main(int argc, char** argv) {
   }
   if (!json_path.empty() && !report.write(json_path)) return 1;
   return 0;
+}
+
+int main(int argc, char** argv) {
+  return sv::benchutil::bench_main("fig7b_sorted_unsorted", argc, argv, run);
 }

@@ -131,13 +131,9 @@ double run_scan_under_writers(Map& map, std::uint64_t key_range,
 
 }  // namespace
 
-int main(int argc, char** argv) {
-  Options opt(argc, argv);
-  if (!opt.only_known("fig8_range",
-                       {"range-bits", "spans", "threads", "seconds", "shards",
-                        "writers", "json"})) {
-    return 2;
-  }
+static int run(const Options& opt) {
+  opt.reject_unknown({"range-bits", "spans", "threads", "seconds", "shards",
+                      "writers", "json"});
   if (opt.help_requested()) {
     std::printf(
         "fig8_range: mutating range-query throughput, SV vs non-chunked SL\n"
@@ -273,4 +269,8 @@ int main(int argc, char** argv) {
   }
   if (!json_path.empty() && !report.write(json_path)) return 1;
   return 0;
+}
+
+int main(int argc, char** argv) {
+  return sv::benchutil::bench_main("fig8_range", argc, argv, run);
 }

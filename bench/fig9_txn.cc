@@ -39,6 +39,7 @@
 #include "dbx/tpcc.h"
 #include "dbx/txn.h"
 #include "dbx/ycsb.h"
+#include "stats/stats.h"
 
 namespace {
 
@@ -47,15 +48,19 @@ using sv::benchutil::JsonValue;
 using sv::benchutil::Options;
 using Map = sv::core::SkipVector<std::uint64_t, std::uint64_t>;
 
+// Each cell also reports its map's counter delta over the measured phase
+// (load excluded) in *counters, as fig4/fig5 rows do.
 double run_ycsb_cell(std::uint64_t rows, double theta, unsigned threads,
                      std::uint64_t txns_per_thread, double read_fraction,
-                     sv::dbx::TxnStats* total_stats) {
+                     sv::dbx::TxnStats* total_stats,
+                     sv::stats::Snapshot* counters) {
   sv::dbx::YcsbConfig cfg;
   cfg.table_rows = rows;
   cfg.zipf_theta = theta;
   cfg.read_fraction = read_fraction;
   Map map(sv::core::Config::for_elements(rows));
   for (std::uint64_t k = 0; k < rows; ++k) map.insert(k, 0);
+  const sv::stats::Snapshot loaded = map.stats_registry().snapshot();
 
   std::vector<sv::dbx::TxnStats> stats(threads);
   std::vector<std::thread> workers;
@@ -72,6 +77,7 @@ double run_ycsb_cell(std::uint64_t rows, double theta, unsigned threads,
   }
   for (auto& w : workers) w.join();
   const double secs = timer.elapsed_seconds();
+  *counters = map.stats_registry().snapshot() - loaded;
   sv::dbx::TxnStats sum;
   for (const auto& s : stats) sum += s;
   if (total_stats != nullptr) *total_stats += sum;
@@ -80,13 +86,15 @@ double run_ycsb_cell(std::uint64_t rows, double theta, unsigned threads,
 
 double run_tpcc_cell(std::uint32_t warehouses, unsigned threads,
                      std::uint64_t txns_per_thread,
-                     sv::dbx::tpcc::TpccStats* total_stats) {
+                     sv::dbx::tpcc::TpccStats* total_stats,
+                     sv::stats::Snapshot* counters) {
   namespace tpcc = sv::dbx::tpcc;
   tpcc::TpccConfig cfg;
   cfg.warehouses = warehouses;
   Map map(sv::core::Config::for_elements(1 << 18));
   tpcc::TpccLite<Map> db(cfg, map);
   db.load();
+  const sv::stats::Snapshot loaded = map.stats_registry().snapshot();
 
   std::vector<tpcc::TpccStats> stats(threads);
   std::vector<std::thread> workers;
@@ -101,6 +109,7 @@ double run_tpcc_cell(std::uint32_t warehouses, unsigned threads,
   }
   for (auto& w : workers) w.join();
   const double secs = timer.elapsed_seconds();
+  *counters = map.stats_registry().snapshot() - loaded;
 
   std::string err;
   if (!db.check_invariants(&err)) {
@@ -116,13 +125,9 @@ double run_tpcc_cell(std::uint32_t warehouses, unsigned threads,
 
 }  // namespace
 
-int main(int argc, char** argv) {
-  Options opt(argc, argv);
-  if (!opt.only_known("fig9_txn",
-                       {"rows", "txns", "read-frac", "threads", "thetas",
-                        "warehouses", "json"})) {
-    return 2;
-  }
+static int run(const Options& opt) {
+  opt.reject_unknown({"rows", "txns", "read-frac", "threads", "thetas",
+                      "warehouses", "json"});
   if (opt.help_requested()) {
     std::printf(
         "fig9_txn: sv::txn transaction throughput (YCSB-T + TPC-C-lite)\n"
@@ -160,8 +165,9 @@ int main(int argc, char** argv) {
     for (const auto t64 : threads_list) {
       const auto threads = static_cast<unsigned>(t64);
       sv::dbx::TxnStats st;
-      const double mtxn =
-          run_ycsb_cell(rows, theta, threads, txns, read_fraction, &st);
+      sv::stats::Snapshot counters;
+      const double mtxn = run_ycsb_cell(rows, theta, threads, txns,
+                                        read_fraction, &st, &counters);
       std::printf("  %-10u %12.4f %11.2f%%\n", threads, mtxn,
                   100.0 * st.abort_rate());
       JsonValue& row = report.add_result("YCSB-T");
@@ -171,6 +177,9 @@ int main(int argc, char** argv) {
       JsonValue& metrics = row.set("metrics", JsonValue::object());
       metrics.set("mtxn_per_s", mtxn);
       metrics.set("abort_rate", st.abort_rate());
+      if (sv::stats::kEnabled) {
+        row.set("stats", sv::benchutil::stats_json(counters));
+      }
     }
   }
 
@@ -181,7 +190,9 @@ int main(int argc, char** argv) {
     for (const auto t64 : threads_list) {
       const auto threads = static_cast<unsigned>(t64);
       sv::dbx::tpcc::TpccStats st;
-      const double mtxn = run_tpcc_cell(warehouses, threads, txns, &st);
+      sv::stats::Snapshot counters;
+      const double mtxn =
+          run_tpcc_cell(warehouses, threads, txns, &st, &counters);
       std::printf("  %-10u %12.4f %11.2f%%\n", threads, mtxn,
                   100.0 * st.abort_rate());
       JsonValue& row = report.add_result("TPCC-lite");
@@ -195,8 +206,15 @@ int main(int argc, char** argv) {
                   st.commits > 0 ? static_cast<double>(st.new_orders) /
                                        static_cast<double>(st.commits)
                                  : 0.0);
+      if (sv::stats::kEnabled) {
+        row.set("stats", sv::benchutil::stats_json(counters));
+      }
     }
   }
   if (!json_path.empty() && !report.write(json_path)) return 1;
   return 0;
+}
+
+int main(int argc, char** argv) {
+  return sv::benchutil::bench_main("fig9_txn", argc, argv, run);
 }

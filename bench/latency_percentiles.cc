@@ -68,12 +68,8 @@ LatencyHistogram run(Map& map, std::uint64_t range, unsigned threads,
 
 }  // namespace
 
-int main(int argc, char** argv) {
-  Options opt(argc, argv);
-  if (!opt.only_known("latency_percentiles",
-                       {"range-bits", "threads", "seconds", "json"})) {
-    return 2;
-  }
+static int run(const Options& opt) {
+  opt.reject_unknown({"range-bits", "threads", "seconds", "json"});
   if (opt.help_requested()) {
     std::printf(
         "latency_percentiles: per-op latency tails, SV-HP vs FSL\n"
@@ -128,4 +124,8 @@ int main(int argc, char** argv) {
   }
   if (!json_path.empty() && !report.write(json_path)) return 1;
   return 0;
+}
+
+int main(int argc, char** argv) {
+  return sv::benchutil::bench_main("latency_percentiles", argc, argv, run);
 }

@@ -7,14 +7,11 @@
 
 #include <atomic>
 #include <cstdint>
-#include <cstring>
 #include <memory>
 #include <string>
 #include <string_view>
 #include <vector>
 
-#include "alloc/allocator.h"
-#include "alloc/pool_allocator.h"
 #include "benchutil/json_report.h"
 #include "common/rng.h"
 #include "common/simd.h"
@@ -190,44 +187,6 @@ void BM_SkipVectorInsertRemove(benchmark::State& state) {
   state.SetItemsProcessed(2 * state.iterations());
 }
 BENCHMARK(BM_SkipVectorInsertRemove)->Arg(10)->Arg(14)->Arg(18);
-
-// ---- Node allocator churn (src/alloc/) --------------------------------------
-//
-// The isolated alloc/free path the map's split/merge machinery pays: keep a
-// ring of live node-sized blocks per thread and randomly replace them, the
-// steady-state recycling pattern of a 50/50 insert/remove mix. One shared
-// allocator instance across threads, as in a real map, so the
-// multi-threaded rows include the pool's cross-thread depot traffic vs
-// the global heap's internal locking. Arg = block bytes: 320 ~ a T=16 data
-// node, 1344 ~ a T=64 node (NodeLayout-rounded sizes).
-
-template <class Alloc>
-void BM_NodeAllocChurn(benchmark::State& state) {
-  static Alloc alloc;  // shared across benchmark threads by design
-  const auto bytes = static_cast<std::size_t>(state.range(0));
-  constexpr std::size_t kLive = 128;
-  std::vector<void*> ring(kLive);
-  Xoshiro256 rng(static_cast<std::uint64_t>(state.thread_index()) + 1);
-  for (auto& p : ring) p = alloc.allocate(bytes);
-  for (auto _ : state) {
-    const std::size_t i = rng.next_below(kLive);
-    alloc.deallocate(ring[i], bytes);
-    void* p = alloc.allocate(bytes);
-    std::memset(p, 0, sv::kCacheLineSize);  // touch the header line, as node init does
-    ring[i] = p;
-    benchmark::DoNotOptimize(ring[i]);
-  }
-  for (void* p : ring) alloc.deallocate(p, bytes);
-  state.SetItemsProcessed(state.iterations());
-}
-BENCHMARK(BM_NodeAllocChurn<sv::alloc::MallocNodeAllocator>)
-    ->Name("BM_NodeAllocChurn_Malloc")
-    ->Arg(320)->Arg(1344)
-    ->Threads(1)->Threads(4);
-BENCHMARK(BM_NodeAllocChurn<sv::alloc::PoolNodeAllocator>)
-    ->Name("BM_NodeAllocChurn_Pool")
-    ->Arg(320)->Arg(1344)
-    ->Threads(1)->Threads(4);
 
 // Console output stays the default google-benchmark table; this reporter
 // additionally collects every run so main() can emit sv-bench JSON rows.

@@ -32,7 +32,6 @@ struct SweepConfig {
   bool include_tuned;  // the paper's SV-HP-Tune (Fig. 4a):
                        // T_D=64, mergeThreshold=1.0, 4 layers
   bool include_lazy;   // extension: lock-based lazy skip list column
-  bool include_pool;   // extension: SV-HP on the slab pool allocator
   double zipf_theta;   // 0 = uniform (paper); >0 = skewed extension
 };
 
@@ -47,17 +46,15 @@ inline SweepConfig sweep_from_options(const Options& opt) {
   s.include_usl_hp = !opt.flag("no-usl-hp");
   s.include_tuned = opt.flag("tuned");
   s.include_lazy = opt.flag("lazy");
-  s.include_pool = opt.flag("pool");
   s.zipf_theta = opt.f64("zipf", 0.0);
   return s;
 }
 
 // The flags sweep_from_options reads, plus --json; fig4 and fig5 exit 2 on
 // any other.
-inline bool sweep_options_known(const Options& opt, const char* figure) {
-  return opt.only_known(figure, {"range-bits", "threads", "seconds", "trials",
-                                 "no-usl-hp", "tuned", "lazy", "pool", "zipf",
-                                 "json"});
+inline void reject_unknown_sweep_options(const Options& opt) {
+  opt.reject_unknown({"range-bits", "threads", "seconds", "trials",
+                      "no-usl-hp", "tuned", "lazy", "zipf", "json"});
 }
 
 inline void print_sweep_help(const char* figure, const char* mix) {
@@ -70,7 +67,6 @@ inline void print_sweep_help(const char* figure, const char* mix) {
       "  --no-usl-hp          skip the USL-HP variant\n"
       "  --tuned              add the paper's SV-HP-Tune configuration\n"
       "  --lazy               add a lock-based lazy skip list column\n"
-      "  --pool               add SV-HP on the slab pool allocator\n"
       "  --zipf=F             Zipfian key skew theta (default 0 = uniform)\n"
       "  --json=PATH          also write sv-bench JSON ('-' = stdout)\n",
       figure, mix);
@@ -155,7 +151,6 @@ inline void run_sweep(const char* title, MixSpec mix, const SweepConfig& cfg,
                 static_cast<unsigned long long>(bits));
     std::printf("  %-10s", "threads");
     std::printf(" %12s %12s", "SV-HP", "SV-Leak");
-    if (cfg.include_pool) std::printf(" %12s", "SV-HP-Pool");
     if (cfg.include_tuned) std::printf(" %12s", "SV-HP-Tune");
     if (cfg.include_usl_hp) std::printf(" %12s", "USL-HP");
     std::printf(" %12s %12s", "USL-Leak", "FSL");
@@ -179,15 +174,6 @@ inline void run_sweep(const char* title, MixSpec mix, const SweepConfig& cfg,
           },
           mix, range, threads, cfg.seconds, cfg.trials);
       report_cell(report, "SV-Leak", bits, threads, sv_leak);
-      CellResult sv_pool;
-      if (cfg.include_pool) {
-        sv_pool = run_cell(
-            [&] {
-              return std::make_unique<core::SkipVectorPool<K, V>>(sv_cfg);
-            },
-            mix, range, threads, cfg.seconds, cfg.trials);
-        report_cell(report, "SV-HP-Pool", bits, threads, sv_pool);
-      }
       CellResult tuned;
       if (cfg.include_tuned) {
         core::Config tcfg = sv_cfg;
@@ -233,7 +219,6 @@ inline void run_sweep(const char* title, MixSpec mix, const SweepConfig& cfg,
       }
 
       std::printf("  %-10u %12.3f %12.3f", threads, sv_hp.mops, sv_leak.mops);
-      if (cfg.include_pool) std::printf(" %12.3f", sv_pool.mops);
       if (cfg.include_tuned) std::printf(" %12.3f", tuned.mops);
       if (cfg.include_usl_hp) std::printf(" %12.3f", usl_hp.mops);
       std::printf(" %12.3f %12.3f", usl_leak.mops, fsl.mops);

@@ -1,27 +1,12 @@
-// Node-allocator policies: how the skip vector (and anything else built on
-// chunked nodes) obtains and returns node memory. The map is templated on
-// one of these, mirroring the Reclaimer policy axis: the allocator decides
-// *where* node bytes live, the reclaimer decides *when* they may be reused.
-//
-// Policy concept:
-//   struct NodeAllocator {
-//     void* allocate(std::size_t bytes);              // cache-line aligned
-//     void deallocate(void* p, std::size_t bytes);    // sized: same bytes
-//     AllocatorStats stats() const;                   // aggregate snapshot
-//     static constexpr bool kPooled;                  // pool vs passthrough
-//   };
+// MallocNodeAllocator: how the skip vector obtains and returns the memory of
+// its chunks and version records. Every map owns one instance; the reclaimer
+// decides *when* a block may be freed, this class does the freeing and keeps
+// the map's byte count.
 //
 // Deallocation is *sized*: callers pass the byte count they allocated with
-// (the map recomputes it from the node header via alloc::NodeLayout), which
-// lets the pool find the size class without any per-block header or
-// pointer->slab lookup on the free path.
-//
-// Two implementations:
-//   * MallocNodeAllocator (here)  -- passthrough to the aligned global
-//     operator new/delete; the pre-allocator behavior and the default, so
-//     existing users compile and behave identically.
-//   * PoolNodeAllocator (alloc/pool_allocator.h) -- Bonwick-style slab pool
-//     with per-thread magazines.
+// (the map recomputes it from the node header via alloc::NodeLayout, and a
+// version record carries its own), so the map's live bytes are exact
+// without a per-block header.
 #pragma once
 
 #include <atomic>
@@ -35,37 +20,24 @@
 namespace sv::alloc {
 
 // Aggregate allocator counters. `live_bytes` is exact when the allocator is
-// quiescent (sums of per-thread deltas; transient snapshots may be mid-op).
-// For MallocNodeAllocator every allocation is a "miss" (nothing is pooled).
+// quiescent (transient snapshots may be mid-op).
 struct AllocatorStats {
-  std::uint64_t pool_hits = 0;       // allocations served by a magazine
-  std::uint64_t pool_misses = 0;     // allocations that went to depot/slab/heap
-  std::uint64_t slab_allocs = 0;     // slabs carved from arenas
-  std::uint64_t magazine_frees = 0;  // frees absorbed by a magazine
-  std::uint64_t depot_flushes = 0;   // magazine overflows flushed to the depot
-  std::uint64_t oversize_allocs = 0; // beyond the largest size class
-  std::uint64_t arena_bytes = 0;     // bytes reserved in arenas
-  std::uint64_t live_bytes = 0;      // bytes currently handed out
+  std::uint64_t allocs = 0;      // node and record allocations
+  std::uint64_t live_bytes = 0;  // bytes currently handed out
 
   AllocatorStats& operator+=(const AllocatorStats& o) noexcept {
-    pool_hits += o.pool_hits;
-    pool_misses += o.pool_misses;
-    slab_allocs += o.slab_allocs;
-    magazine_frees += o.magazine_frees;
-    depot_flushes += o.depot_flushes;
-    oversize_allocs += o.oversize_allocs;
-    arena_bytes += o.arena_bytes;
+    allocs += o.allocs;
     live_bytes += o.live_bytes;
     return *this;
   }
 };
 
-// sv::stats wiring shared by both allocators. kLiveBytes is a *net* gauge
-// counted through monotonic per-thread blocks: allocation adds +bytes, free
-// adds the two's-complement of bytes, so the aggregated (mod 2^64) sum is
-// the live total even when a block allocated on one thread is freed on
-// another. Phase deltas (Snapshot::operator-) clamp at zero when a phase
-// shrinks the footprint; see docs/OBSERVABILITY.md.
+// sv::stats wiring. kLiveBytes is a *net* gauge counted through monotonic
+// per-thread blocks: allocation adds +bytes, free adds the two's-complement
+// of bytes, so the aggregated (mod 2^64) sum is the live total even when a
+// block allocated on one thread is freed on another. Phase deltas
+// (Snapshot::operator-) clamp at zero when a phase shrinks the footprint;
+// see docs/OBSERVABILITY.md.
 inline void count_alloc_bytes(std::size_t bytes) noexcept {
   stats::count(stats::Counter::kLiveBytes, static_cast<std::uint64_t>(bytes));
 }
@@ -74,14 +46,11 @@ inline void count_free_bytes(std::size_t bytes) noexcept {
                ~static_cast<std::uint64_t>(bytes) + 1);
 }
 
-// Passthrough to the aligned global heap: exactly the map's historical
-// behavior, plus byte/count accounting cheap enough to leave on (two
-// relaxed fetch_adds per node allocation -- node allocations are orders of
-// magnitude rarer than map operations).
+// Passthrough to the aligned global heap, plus byte/count accounting cheap
+// enough to leave on (relaxed fetch_adds per node allocation -- node
+// allocations are orders of magnitude rarer than map operations).
 class MallocNodeAllocator {
  public:
-  static constexpr bool kPooled = false;
-
   MallocNodeAllocator() = default;
   MallocNodeAllocator(const MallocNodeAllocator&) = delete;
   MallocNodeAllocator& operator=(const MallocNodeAllocator&) = delete;
@@ -89,7 +58,7 @@ class MallocNodeAllocator {
   void* allocate(std::size_t bytes) {
     allocs_.fetch_add(1, std::memory_order_relaxed);
     allocated_bytes_.fetch_add(bytes, std::memory_order_relaxed);
-    stats::count(stats::Counter::kPoolMisses);
+    stats::count(stats::Counter::kPoolMisses);  // every one (stats.h)
     count_alloc_bytes(bytes);
     return ::operator new(bytes, std::align_val_t{kCacheLineSize});
   }
@@ -102,7 +71,7 @@ class MallocNodeAllocator {
 
   AllocatorStats stats() const {
     AllocatorStats s;
-    s.pool_misses = allocs_.load(std::memory_order_relaxed);
+    s.allocs = allocs_.load(std::memory_order_relaxed);
     const std::uint64_t a = allocated_bytes_.load(std::memory_order_relaxed);
     const std::uint64_t f = freed_bytes_.load(std::memory_order_relaxed);
     s.live_bytes = a - f;  // mod 2^64; exact at quiescence

@@ -3,13 +3,12 @@
 //
 //   [ NodeT header | keys: atomic<K>[cap] | vals: atomic<P>[cap] ]
 //
-// rounded up to a whole number of cache lines. The same arithmetic is
-// consumed by three parties that previously each did their own (and could
-// drift): the map's alloc_node (placement of the key/value arrays), its
-// node_bytes accounting (Stats::bytes, sized deallocation on the reclaim
-// path), and the allocator layer (size-class selection in
-// sv::alloc::PoolNodeAllocator). Everything is constexpr so
-// tests/alloc_test.cc pins the invariants with static_asserts.
+// rounded up to a whole number of cache lines. The map's alloc_node
+// (placement of the key/value arrays), its node_bytes accounting
+// (Stats::bytes, sized deallocation on the reclaim path) and its arrival
+// prefetch all read this one arithmetic, so they cannot drift. Everything
+// is constexpr so tests/alloc_test.cc pins the invariants with
+// static_asserts.
 #pragma once
 
 #include <cstddef>

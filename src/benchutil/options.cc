@@ -2,6 +2,7 @@
 
 #include <cstdio>
 #include <cstdlib>
+#include <limits>
 #include <stdexcept>
 
 namespace sv::benchutil {
@@ -40,39 +41,67 @@ void Options::reject_unknown(
   }
 }
 
-bool Options::only_known(
-    const char* prog, std::initializer_list<std::string_view> allowed) const {
+int bench_main(const char* prog, int argc, char** argv,
+               int (*body)(const Options&)) {
   try {
-    reject_unknown(allowed);
+    const Options opt(argc, argv);
+    return body(opt);
   } catch (const std::invalid_argument& e) {
     std::fprintf(stderr, "%s: %s\n", prog, e.what());
-    return false;
+  } catch (const std::out_of_range& e) {
+    std::fprintf(stderr, "%s: %s\n", prog, e.what());
   }
-  return true;
+  return 2;
 }
+
+namespace {
+
+constexpr std::uint64_t kMax = std::numeric_limits<std::uint64_t>::max();
+
+// std::stoull and std::stod name only themselves in what(); rethrow with
+// the offending text, keeping the exception type.
+template <class Parse>
+auto number(const std::string& s, Parse parse) {
+  try {
+    return parse();
+  } catch (const std::invalid_argument&) {
+    throw std::invalid_argument("not a number: " + s);
+  } catch (const std::out_of_range&) {
+    throw std::out_of_range("out of range: " + s);
+  }
+}
+
+}  // namespace
 
 std::uint64_t Options::parse_u64(const std::string& s) {
   if (s.empty()) throw std::invalid_argument("empty integer option");
   const auto caret = s.find('^');
   if (caret != std::string::npos) {
-    const std::uint64_t base = std::stoull(s.substr(0, caret));
-    const std::uint64_t exp = std::stoull(s.substr(caret + 1));
+    const std::uint64_t base =
+        number(s, [&] { return std::stoull(s.substr(0, caret)); });
+    const std::uint64_t exp =
+        number(s, [&] { return std::stoull(s.substr(caret + 1)); });
+    if (base < 2) return exp == 0 ? 1 : base;
     std::uint64_t v = 1;
-    for (std::uint64_t i = 0; i < exp; ++i) v *= base;
+    for (std::uint64_t i = 0; i < exp; ++i) {
+      if (v > kMax / base) throw std::out_of_range("out of range: " + s);
+      v *= base;
+    }
     return v;
   }
   std::size_t pos = 0;
-  std::uint64_t v = std::stoull(s, &pos);
-  if (pos < s.size()) {
-    switch (s[pos]) {
-      case 'k': case 'K': v <<= 10; break;
-      case 'm': case 'M': v <<= 20; break;
-      case 'g': case 'G': v <<= 30; break;
-      default:
-        throw std::invalid_argument("bad integer suffix in: " + s);
-    }
+  const std::uint64_t v = number(s, [&] { return std::stoull(s, &pos); });
+  if (pos == s.size()) return v;
+  int shift = 0;
+  switch (s[pos]) {
+    case 'k': case 'K': shift = 10; break;
+    case 'm': case 'M': shift = 20; break;
+    case 'g': case 'G': shift = 30; break;
+    default:
+      throw std::invalid_argument("bad integer suffix in: " + s);
   }
-  return v;
+  if (v > kMax >> shift) throw std::out_of_range("out of range: " + s);
+  return v << shift;
 }
 
 std::uint64_t Options::u64(const std::string& name, std::uint64_t def) const {
@@ -82,7 +111,12 @@ std::uint64_t Options::u64(const std::string& name, std::uint64_t def) const {
 
 double Options::f64(const std::string& name, double def) const {
   auto it = kv_.find(name);
-  return it == kv_.end() ? def : std::stod(it->second);
+  if (it == kv_.end()) return def;
+  const std::string& s = it->second;
+  std::size_t pos = 0;
+  const double v = number(s, [&] { return std::stod(s, &pos); });
+  if (pos < s.size()) throw std::invalid_argument("not a number: " + s);
+  return v;
 }
 
 std::string Options::str(const std::string& name,

@@ -32,17 +32,19 @@ class Options {
   // instead of silently running with the default.
   void reject_unknown(std::initializer_list<std::string_view> allowed) const;
 
-  // reject_unknown for a bench's main: reports an unknown option on stderr
-  // as "<prog>: unknown option: --x" and returns false, so main can exit 2
-  // (bad arguments) rather than abort on the exception.
-  bool only_known(const char* prog,
-                  std::initializer_list<std::string_view> allowed) const;
-
   static std::uint64_t parse_u64(const std::string& s);
 
  private:
   std::map<std::string, std::string> kv_;
   bool help_ = false;
 };
+
+// The main of every bench binary that takes Options: parses argv and runs
+// `body`. A malformed command line -- a positional argument, an unknown
+// option, a value that does not parse or is out of range -- makes Options
+// throw std::invalid_argument or std::out_of_range; bench_main reports it
+// on stderr as "<prog>: <what>" and returns 2 instead of aborting.
+int bench_main(const char* prog, int argc, char** argv,
+               int (*body)(const Options&));
 
 }  // namespace sv::benchutil

@@ -205,8 +205,7 @@ class RecordingMap {
 };
 
 // Ordered set of keys.
-template <class K, class Reclaimer = reclaim::HazardReclaimer,
-          class Alloc = alloc::MallocNodeAllocator>
+template <class K, class Reclaimer = reclaim::HazardReclaimer>
 class SkipVectorSet {
  public:
   explicit SkipVectorSet(Config config = Config{}) : map_(config) {}
@@ -243,7 +242,7 @@ class SkipVectorSet {
   }
 
  private:
-  SkipVectorMap<K, std::uint8_t, Reclaimer, Alloc> map_;
+  SkipVectorMap<K, std::uint8_t, Reclaimer> map_;
 };
 
 // Concurrent priority queue (min-queue over keys).
@@ -253,8 +252,7 @@ class SkipVectorSet {
 // skip-list priority queues the paper cites, an element inserted
 // concurrently with a pop may or may not be observed by it; pops never
 // return elements out of thin air and never lose elements.
-template <class K, class V, class Reclaimer = reclaim::HazardReclaimer,
-          class Alloc = alloc::MallocNodeAllocator>
+template <class K, class V, class Reclaimer = reclaim::HazardReclaimer>
 class SkipVectorPriorityQueue {
  public:
   explicit SkipVectorPriorityQueue(Config config = Config{}) : map_(config) {}
@@ -286,7 +284,7 @@ class SkipVectorPriorityQueue {
   }
 
  private:
-  SkipVectorMap<K, V, Reclaimer, Alloc> map_;
+  SkipVectorMap<K, V, Reclaimer> map_;
 };
 
 }  // namespace sv::core

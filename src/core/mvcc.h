@@ -55,7 +55,7 @@ struct BatchOp {
 // An immutable full-state record of one data chunk's key sub-range: the
 // contents that became valid at commit version `version` and stayed valid
 // until the next-newer record (or the live state). Allocated as one block
-// [header | K[count] | V[count]] through the owning map's Alloc policy;
+// [header | K[count] | V[count]] through the owning map's allocator;
 // `bytes` is retained for sized deallocation. Published with a release store
 // of the chain head and read with acquire loads; the payload is never
 // modified after publication, so plain (non-atomic) arrays are safe. The

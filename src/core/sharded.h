@@ -22,10 +22,9 @@
 
 namespace sv::core {
 
-template <class K, class V, class Reclaimer = reclaim::HazardReclaimer,
-          class Alloc = alloc::MallocNodeAllocator>
+template <class K, class V, class Reclaimer = reclaim::HazardReclaimer>
 class ShardedSkipVector {
-  using Shard = SkipVectorMap<K, V, Reclaimer, Alloc>;
+  using Shard = SkipVectorMap<K, V, Reclaimer>;
 
  public:
   // key_space is the exclusive upper bound of the key domain; keys must lie

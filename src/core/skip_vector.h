@@ -6,19 +6,19 @@
 // traversals are speculative hand-over-hand read sections, mutations take
 // write locks bottom-up after a top-down freeze phase, and unlinked nodes
 // are reclaimed through a pluggable Reclaimer policy (hazard pointers for
-// SV-HP, leaking for SV-Leak, immediate free for sequential use).
+// SV-HP, leaking for SV-Leak, immediate free for sequential use). The
+// policy decides when a chunk is freed; every free goes through the map's
+// one node allocator (alloc::MallocNodeAllocator), which keeps the map's
+// byte count (docs/MEMORY.md).
 //
 // Template parameters:
 //   K, V           key/value; must be trivially copyable and lock-free as
 //                  std::atomic (speculative readers require it; see
 //                  DESIGN.md §3.2). 64-bit keys/values as in the paper.
 //   Reclaimer      sv::reclaim::{HazardReclaimer, LeakReclaimer,
-//                  ImmediateReclaimer}
-//   Alloc          node allocator policy, sv::alloc::{MallocNodeAllocator,
-//                  PoolNodeAllocator} (docs/MEMORY.md). The reclaimer routes
-//                  node destruction back through this allocator (retire
-//                  carries an owned deleter; see reclaim/deleter.h), so
-//                  reclaimed chunks re-enter the pool.
+//                  ImmediateReclaimer, EpochReclaimer}. A retirement carries
+//                  an owned deleter (reclaim/deleter.h) that frees the chunk
+//                  through this map's allocator.
 //
 // Every point operation reaches its key's data chunk by one speculative
 // descent from the top head (Listing 2); locate() is that descent for the
@@ -56,7 +56,6 @@
 
 #include "alloc/allocator.h"
 #include "alloc/node_layout.h"
-#include "alloc/pool_allocator.h"
 #include "common/hw.h"
 #include "common/rng.h"
 #include "core/config.h"
@@ -73,8 +72,7 @@
 
 namespace sv::core {
 
-template <class K, class V, class Reclaimer = reclaim::HazardReclaimer,
-          class Alloc = alloc::MallocNodeAllocator>
+template <class K, class V, class Reclaimer = reclaim::HazardReclaimer>
 class SkipVectorMap {
   static_assert(std::is_trivially_copyable_v<K> &&
                 std::is_trivially_copyable_v<V>);
@@ -167,10 +165,9 @@ class SkipVectorMap {
 
   const Config& config() const noexcept { return config_; }
   Reclaimer& reclaimer() noexcept { return reclaimer_; }
-  Alloc& allocator() noexcept { return alloc_; }
 
-  // Aggregate node-allocator counters (pool hit rate, live bytes, ...).
-  // Precise regardless of SV_STATS; see alloc/allocator.h.
+  // Node and record allocations and live bytes, precise regardless of
+  // SV_STATS; see alloc/allocator.h.
   alloc::AllocatorStats allocator_stats() const { return alloc_.stats(); }
 
   // ---- Lookup (Listing 2) --------------------------------------------------
@@ -1076,10 +1073,9 @@ class SkipVectorMap {
  private:
   // ---- Allocation ----------------------------------------------------------
   //
-  // All layout arithmetic lives in alloc::NodeLayout (the single source of
-  // truth shared with the allocator layer); allocation and deallocation go
-  // through the Alloc policy. Deallocation is *sized*: the byte count is
-  // recomputed from the node header, so the pool finds the size class
+  // All layout arithmetic lives in alloc::NodeLayout; allocation and
+  // deallocation go through alloc_. Deallocation is *sized*: the byte count
+  // is recomputed from the node header, so the map's live bytes are exact
   // without any per-block metadata.
 
   template <class NodeType, class P>
@@ -2567,7 +2563,7 @@ class SkipVectorMap {
   // alloc_ is declared before reclaimer_ and record_epochs_ on purpose:
   // their destructors free pending retirements *through* the allocator, so
   // the allocator must be destroyed after them (reverse declaration order).
-  Alloc alloc_;
+  alloc::MallocNodeAllocator alloc_;
   Reclaimer reclaimer_;
   std::vector<NodeBase*> heads_;  // per layer, [0] = data
   NodeBase* head_ = nullptr;      // top-layer head (the paper's `head`)
@@ -2601,18 +2597,5 @@ using SkipVectorLeak =
 
 template <class K, class V>
 using SkipVectorSeq = SkipVectorMap<K, V, reclaim::ImmediateReclaimer>;
-
-// Pool-allocated variants: SV-HP / SV-Leak on a slab pool with per-thread
-// magazines (alloc/pool_allocator.h). Note SkipVectorPoolLeak does NOT leak
-// node memory at destruction: unlinked nodes are never reclaimed while the
-// map lives (the paper's Leak semantics), but every byte sits in a pool
-// arena and is released wholesale by the allocator's destructor.
-template <class K, class V>
-using SkipVectorPool =
-    SkipVectorMap<K, V, reclaim::HazardReclaimer, alloc::PoolNodeAllocator>;
-
-template <class K, class V>
-using SkipVectorPoolLeak =
-    SkipVectorMap<K, V, reclaim::LeakReclaimer, alloc::PoolNodeAllocator>;
 
 }  // namespace sv::core

@@ -22,10 +22,4 @@ namespace sv::core {
 template <class K, class V>
 using SkipVectorEpoch = SkipVectorMap<K, V, reclaim::EpochReclaimer>;
 
-// SV-EBR on the slab pool (alloc/pool_allocator.h): the epoch domain's
-// deferred frees route back into the owning map's pool.
-template <class K, class V>
-using SkipVectorEpochPool =
-    SkipVectorMap<K, V, reclaim::EpochReclaimer, alloc::PoolNodeAllocator>;
-
 }  // namespace sv::core

@@ -1,11 +1,11 @@
 // Owned deleters for the reclaim layer.
 //
-// Historically a retirement carried a bare `void(*)(void*)`: enough when
-// every node went back to the global heap, but with pluggable node
-// allocators (src/alloc/) a reclaimed chunk must re-enter the *owning*
-// allocator's pool. A retirement therefore carries (ptr, deleter, owner):
-// the reclaimer invokes `deleter(ptr, owner)` and the owner (typically the
-// map instance) routes the bytes back to its allocator.
+// A bare `void(*)(void*)` cannot say whose memory a retired chunk is, but
+// each map counts its own live bytes (alloc/allocator.h; svbench's
+// bytes_per_key reads them), so a reclaimed chunk must be freed through the
+// *owning* map's allocator. A retirement therefore carries (ptr, deleter,
+// owner): the reclaimer invokes `deleter(ptr, owner)` and the owner
+// (typically the map instance) frees the bytes through its allocator.
 //
 // The 1-arg form is kept as a convenience overload on every retire() (tests
 // and simple users): it smuggles the old `void(*)(void*)` through the owner

@@ -18,7 +18,7 @@
 //   };
 //
 // retire's owned form invokes del(p, owner) when p is safe to destroy; the
-// owner (typically the map) routes the bytes back to its node allocator
+// owner (typically the map) frees the bytes through its node allocator
 // (see reclaim/deleter.h and alloc/allocator.h).
 //
 // A fourth policy, EpochReclaimer, lives in reclaim/epoch.h.

@@ -91,10 +91,12 @@ enum class Counter : std::uint32_t {
   kEpochAdvances,  // successful global epoch advances (EBR)
 
   // Allocation (counted inside alloc/).
-  kPoolHits,    // node allocations served by a per-thread magazine
-  kPoolMisses,  // node allocations that went to the depot/slab/heap
-  kSlabAllocs,  // slabs carved from pool arenas
-  kLiveBytes,   // net gauge: +bytes on alloc, two's-complement on free
+  // kPoolHits is always 0 and kPoolMisses counts every node and record
+  // allocation; both keep the names of a removed slab pool because
+  // svbench's alloc.node_allocs_per_kop sums them.
+  kPoolHits,
+  kPoolMisses,
+  kLiveBytes,  // net gauge: +bytes on alloc, two's-complement on free
 
   // Multiversioning (snapshots + atomic batches; docs/SNAPSHOTS.md).
   kSnapshotScans,         // range_for_each_at / snapshot() scans started
@@ -156,7 +158,6 @@ inline constexpr std::array<std::string_view, kCounterCount> kCounterNames = {
     "epoch_advances",
     "pool_hits",
     "pool_misses",
-    "slab_allocs",
     "live_bytes",
     "snapshot_scans",
     "snapshot_chunks_live",

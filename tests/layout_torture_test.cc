@@ -4,9 +4,9 @@
 // every result. Fault-injection schedules yield/delay inside the
 // structural transitions -- split, merge, tower split, batch commit,
 // version fold -- widening the windows where a half-built chunk could be
-// visible to concurrent readers. Typed across the reclamation/allocation
-// policies (HP, EBR, HP+Pool, EBR+Pool) so every structural path is
-// exercised over every reclamation discipline.
+// visible to concurrent readers. Typed across the deferred reclamation
+// policies (HP, EBR) so every structural path is exercised over every
+// reclamation discipline.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -28,17 +28,8 @@ using debug::FaultInjector;
 using debug::Schedule;
 using vectormap::Layout;
 
-template <class R, class A = alloc::MallocNodeAllocator>
-struct Policy {
-  using Reclaimer = R;
-  using Alloc = A;
-};
-
 using Policies =
-    testing::Types<Policy<reclaim::HazardReclaimer>,
-                   Policy<reclaim::EpochReclaimer>,
-                   Policy<reclaim::HazardReclaimer, alloc::PoolNodeAllocator>,
-                   Policy<reclaim::EpochReclaimer, alloc::PoolNodeAllocator>>;
+    testing::Types<reclaim::HazardReclaimer, reclaim::EpochReclaimer>;
 
 // Tiny chunks (capacity 8): every few writes split or merge one.
 Config Small(Layout data_layout) {
@@ -50,11 +41,10 @@ Config Small(Layout data_layout) {
   return c;
 }
 
-template <class P>
+template <class R>
 class LayoutTortureTest : public testing::Test {
  protected:
-  using Map = SkipVectorMap<std::uint64_t, std::uint64_t,
-                            typename P::Reclaimer, typename P::Alloc>;
+  using Map = SkipVectorMap<std::uint64_t, std::uint64_t, R>;
 
   void TearDown() override { FaultInjector::instance().clear(); }
 };

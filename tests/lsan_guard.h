@@ -1,6 +1,5 @@
 // LeakSanitizer exemption for the map variants that leak by design: a
-// LeakReclaimer map on the malloc passthrough never frees the chunks it
-// unlinks. Allocations a thread makes while a guard lives on that thread
+// LeakReclaimer map never frees the chunks it unlinks. Allocations a thread makes while a guard lives on that thread
 // are not reported; every other allocation stays leak-checked. LSan's
 // disable counter is per thread, so every thread that allocates through
 // such a map constructs its own guard first thing. A no-op outside ASan

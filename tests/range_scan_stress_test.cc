@@ -42,9 +42,8 @@ class RangeScanStressTest : public testing::Test {
   using Map = SkipVectorMap<std::uint64_t, std::uint64_t,
                             typename P::Reclaimer>;
 
-  // LeakReclaimer on the malloc passthrough leaks its unlinked chunks by
-  // design: exempt only that map from LeakSanitizer, on every thread that
-  // allocates through it.
+  // LeakReclaimer leaks its unlinked chunks by design: exempt only that
+  // map from LeakSanitizer, on every thread that allocates through it.
   static constexpr bool kLeaksByDesign =
       std::is_same_v<typename P::Reclaimer, reclaim::LeakReclaimer>;
   const LeakCheckDisabler body_guard_{kLeaksByDesign};

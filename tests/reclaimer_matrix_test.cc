@@ -1,10 +1,9 @@
 // Integration stress executed identically across every reclamation policy
-// (hazard pointers, epochs, leak) crossed with both node allocators
-// (malloc passthrough, slab pool): the full operation surface -- point
+// (hazard pointers, epochs, leak): the full operation surface -- point
 // ops, navigation, range queries -- under concurrent churn, followed by
-// complete structural validation. Typed tests guarantee no combination
+// complete structural validation. Typed tests guarantee no policy
 // silently misses coverage. (ImmediateReclaimer is sequential-only; its
-// parity coverage over both allocators lives in tests/alloc_test.cc.)
+// parity coverage lives in tests/alloc_test.cc.)
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -27,33 +26,19 @@ namespace {
 
 using sv::test::LeakCheckDisabler;
 
-template <class R, class A = alloc::MallocNodeAllocator>
-struct Policy {
-  using Reclaimer = R;
-  using Alloc = A;
-};
+using Policies = testing::Types<reclaim::HazardReclaimer,
+                                reclaim::EpochReclaimer,
+                                reclaim::LeakReclaimer>;
 
-using Policies = testing::Types<
-    Policy<reclaim::HazardReclaimer>, Policy<reclaim::EpochReclaimer>,
-    Policy<reclaim::LeakReclaimer>,
-    Policy<reclaim::HazardReclaimer, alloc::PoolNodeAllocator>,
-    Policy<reclaim::EpochReclaimer, alloc::PoolNodeAllocator>,
-    Policy<reclaim::LeakReclaimer, alloc::PoolNodeAllocator>>;
-
-template <class P>
+template <class R>
 class ReclaimerMatrixTest : public testing::Test {
  protected:
-  using Map =
-      SkipVectorMap<std::uint64_t, std::uint64_t, typename P::Reclaimer,
-                    typename P::Alloc>;
+  using Map = SkipVectorMap<std::uint64_t, std::uint64_t, R>;
 
-  // LeakReclaimer on the malloc passthrough leaks retired nodes by design;
-  // exempt only that combination from LeakSanitizer. The pool-backed leak
-  // variant stays fully checked: the allocator reclaims every arena at map
-  // destruction, which is exactly what this suite proves.
+  // LeakReclaimer leaks retired nodes by design; exempt only that policy
+  // from LeakSanitizer.
   static constexpr bool kLeaksByDesign =
-      std::is_same_v<typename P::Reclaimer, reclaim::LeakReclaimer> &&
-      !P::Alloc::kPooled;
+      std::is_same_v<R, reclaim::LeakReclaimer>;
 
   // Covers the test body's thread; workers construct their own.
   const LeakCheckDisabler body_guard_{kLeaksByDesign};

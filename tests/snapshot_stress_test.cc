@@ -1,6 +1,5 @@
 // Snapshot-vs-writer and batch-atomicity stress, executed identically
-// across every reclamation policy (hazard pointers, epochs, leak) crossed
-// with both node allocators (malloc passthrough, slab pool).
+// across every reclamation policy (hazard pointers, epochs, leak).
 //
 // The properties under test (docs/SNAPSHOTS.md):
 //   1. Wait-freedom: a versioned snapshot scan completes with ZERO
@@ -39,30 +38,17 @@ namespace {
 
 using sv::test::LeakCheckDisabler;
 
-template <class R, class A = alloc::MallocNodeAllocator>
-struct Policy {
-  using Reclaimer = R;
-  using Alloc = A;
-};
+using Policies = testing::Types<reclaim::HazardReclaimer,
+                                reclaim::EpochReclaimer,
+                                reclaim::LeakReclaimer>;
 
-using Policies =
-    testing::Types<Policy<reclaim::HazardReclaimer>,
-                   Policy<reclaim::EpochReclaimer>,
-                   Policy<reclaim::LeakReclaimer>,
-                   Policy<reclaim::HazardReclaimer, alloc::PoolNodeAllocator>,
-                   Policy<reclaim::EpochReclaimer, alloc::PoolNodeAllocator>,
-                   Policy<reclaim::LeakReclaimer, alloc::PoolNodeAllocator>>;
-
-template <class P>
+template <class R>
 class SnapshotStressTest : public testing::Test {
  protected:
-  using Map =
-      SkipVectorMap<std::uint64_t, std::uint64_t, typename P::Reclaimer,
-                    typename P::Alloc>;
+  using Map = SkipVectorMap<std::uint64_t, std::uint64_t, R>;
 
   static constexpr bool kLeaksByDesign =
-      std::is_same_v<typename P::Reclaimer, reclaim::LeakReclaimer> &&
-      !P::Alloc::kPooled;
+      std::is_same_v<R, reclaim::LeakReclaimer>;
 
   // Covers the test body's thread; workers construct their own.
   const LeakCheckDisabler body_guard_{kLeaksByDesign};

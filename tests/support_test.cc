@@ -127,6 +127,35 @@ TEST(Options, SuffixesAndHelp) {
   EXPECT_TRUE(opt.help_requested());
 }
 
+// A malformed value throws; bench_main turns that into exit code 2.
+TEST(Options, MalformedValuesExit2ThroughBenchMain) {
+  using benchutil::Options;
+  EXPECT_THROW(Options::parse_u64("abc"), std::invalid_argument);
+  EXPECT_THROW(Options::parse_u64("99999999999999999999999"),
+               std::out_of_range);
+  EXPECT_THROW(Options::parse_u64("2^64"), std::out_of_range);
+  EXPECT_THROW(Options::parse_u64("17179869184G"), std::out_of_range);
+  EXPECT_EQ(Options::parse_u64("2^63"), 1ull << 63);
+  EXPECT_EQ(Options::parse_u64("1^99999999999"), 1u);
+  const auto main_of = [](std::vector<const char*> argv) {
+    return benchutil::bench_main(
+        "prog", static_cast<int>(argv.size()), const_cast<char**>(argv.data()),
+        [](const Options& opt) {
+          opt.reject_unknown({"seconds", "threads"});
+          opt.f64("seconds", 1);
+          opt.u64_list("threads", {1});
+          return 0;
+        });
+  };
+  EXPECT_EQ(main_of({"prog", "--seconds=0.5", "--threads=1,2"}), 0);
+  EXPECT_EQ(main_of({"prog", "--seconds=1x"}), 2);  // trailing characters
+  EXPECT_EQ(main_of({"prog", "--threads=abc"}), 2);
+  EXPECT_EQ(main_of({"prog", "--threads=99999999999999999999999"}), 2);
+  EXPECT_EQ(main_of({"prog", "--threads=2^64"}), 2);
+  EXPECT_EQ(main_of({"prog", "stray"}), 2);
+  EXPECT_EQ(main_of({"prog", "--hash"}), 2);
+}
+
 // ---- RNG / Zipf ----------------------------------------------------------------------
 
 TEST(Rng, UniformBelowBoundAndDeterministic) {

@@ -52,7 +52,7 @@ mkdir -p "$out_dir"
 "$build_dir/bench/fig4_mix801010" --range-bits=16 --threads=1,2,4,8 \
   --seconds=0.3 --trials=4 --json="$out_dir/BENCH_fig4.json"
 "$build_dir/bench/fig5_mix05050" --range-bits=16 --threads=2,4 \
-  --seconds=0.25 --trials=2 --pool --json="$out_dir/BENCH_fig5.json"
+  --seconds=0.25 --trials=2 --json="$out_dir/BENCH_fig5.json"
 # fig7b carries the layout matrix plus the data-layout sweep: the
 # scan_heavy/* and write_heavy/* rows pin static sorted vs static unsorted
 # data chunks on the two mixes where they diverge (docs/TUNING.md "Chunk
