@@ -55,7 +55,7 @@ static int run(const Options& opt) {
     return 0;
   }
   const auto range_bits = opt.u64_list("range-bits", {14, 18, 22});
-  const auto threads = static_cast<unsigned>(opt.u64("threads", 2));
+  const auto threads = opt.threads(2);
   const double seconds = opt.f64("seconds", 0.5);
   const std::string json_path = opt.str("json", "");
 

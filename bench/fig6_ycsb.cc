@@ -98,7 +98,7 @@ static int run(const Options& opt) {
   }
   g_read_fraction = read_fraction;
   const std::uint64_t txns = opt.u64("txns", 10000);
-  const auto threads_list = opt.u64_list("threads", {1, 2, 4});
+  const auto threads_list = opt.threads_list({1, 2, 4});
   const auto thetas = opt.u64_list("thetas", {10, 60, 90});
   const std::string json_path = opt.str("json", "");
 
@@ -132,8 +132,7 @@ static int run(const Options& opt) {
     std::printf("\n-- zipf theta = %.2f --\n", theta);
     std::printf("  %-10s %12s %12s %12s %12s\n", "threads", "SV-HP",
                 "USL-HP", "SL-HP", "abort%%SV");
-    for (const auto t64 : threads_list) {
-      const auto threads = static_cast<unsigned>(t64);
+    for (const unsigned threads : threads_list) {
       sv::dbx::TxnStats sv_stats;
       const double sv = run_cell(sv_cfg, rows, theta, threads, txns, &sv_stats);
       const double usl = run_cell(usl_cfg, rows, theta, threads, txns, nullptr);

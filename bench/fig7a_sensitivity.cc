@@ -49,7 +49,7 @@ static int run(const Options& opt) {
   }
   const auto bits = opt.u64("range-bits", 20);
   const std::uint64_t range = 1ULL << bits;
-  const auto threads = static_cast<unsigned>(opt.u64("threads", 2));
+  const auto threads = opt.threads(2);
   const double seconds = opt.f64("seconds", 0.5);
   const auto trials = static_cast<unsigned>(opt.u64("trials", 1));
   const auto sizes = opt.u64_list("sizes", {1, 2, 4, 8, 16, 32, 64, 128, 256});

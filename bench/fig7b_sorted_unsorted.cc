@@ -162,7 +162,7 @@ static int run(const Options& opt) {
       static_cast<std::uint32_t>(opt.u64("sweep-tdata", 32));
   const std::uint64_t range = 1ULL << bits;
   const std::uint64_t sweep_range = 1ULL << sweep_bits;
-  const auto threads = static_cast<unsigned>(opt.u64("threads", 2));
+  const auto threads = opt.threads(2);
   const double seconds = opt.f64("seconds", 0.5);
   const auto trials = static_cast<unsigned>(opt.u64("trials", 1));
   const auto cfg = sv::core::Config::for_elements(range / 2);

@@ -155,7 +155,7 @@ static int run(const Options& opt) {
   const auto bits = opt.u64("range-bits", 20);
   const std::uint64_t range = 1ULL << bits;
   const auto spans = opt.u64_list("spans", {12, 17});
-  const auto threads_list = opt.u64_list("threads", {1, 2, 4});
+  const auto threads_list = opt.threads_list({1, 2, 4});
   const double seconds = opt.f64("seconds", 0.5);
 
   const auto shards = static_cast<std::uint32_t>(opt.u64("shards", 0));
@@ -190,8 +190,7 @@ static int run(const Options& opt) {
     std::printf("  %-10s %14s %14s", "threads", "SV (Kops/s)", "SL (Kops/s)");
     if (shards > 0) std::printf(" %14s", "Sharded");
     std::printf("\n");
-    for (const auto t64 : threads_list) {
-      const auto threads = static_cast<unsigned>(t64);
+    for (const unsigned threads : threads_list) {
       double sv_kops, sl_kops, sh_kops = 0;
       {
         Map m(sv_cfg);
@@ -242,8 +241,7 @@ static int run(const Options& opt) {
                   static_cast<unsigned long long>(span_bits));
       std::printf("  %-10s %-10s %14s %14s\n", "scanners", "writers",
                   "SV-Lock", "SV-Snap");
-      for (const auto t64 : threads_list) {
-        const auto threads = static_cast<unsigned>(t64);
+      for (const unsigned threads : threads_list) {
         const auto writers = writers_opt == ~0ULL
                                  ? threads
                                  : static_cast<unsigned>(writers_opt);

@@ -143,7 +143,7 @@ static int run(const Options& opt) {
   const std::uint64_t rows = opt.u64("rows", 1ULL << 18);
   const std::uint64_t txns = opt.u64("txns", 10000);
   const double read_fraction = opt.f64("read-frac", 0.9);
-  const auto threads_list = opt.u64_list("threads", {1, 2, 4});
+  const auto threads_list = opt.threads_list({1, 2, 4});
   const auto thetas = opt.u64_list("thetas", {10, 60, 90});
   const auto warehouses_list = opt.u64_list("warehouses", {1, 4});
   const std::string json_path = opt.str("json", "");
@@ -162,8 +162,7 @@ static int run(const Options& opt) {
     const double theta = static_cast<double>(theta100) / 100.0;
     std::printf("\n-- YCSB-T, zipf theta = %.2f --\n", theta);
     std::printf("  %-10s %12s %12s\n", "threads", "SV-Txn", "abort%");
-    for (const auto t64 : threads_list) {
-      const auto threads = static_cast<unsigned>(t64);
+    for (const unsigned threads : threads_list) {
       sv::dbx::TxnStats st;
       sv::stats::Snapshot counters;
       const double mtxn = run_ycsb_cell(rows, theta, threads, txns,
@@ -187,8 +186,7 @@ static int run(const Options& opt) {
     const auto warehouses = static_cast<std::uint32_t>(w64);
     std::printf("\n-- TPC-C-lite, warehouses = %u --\n", warehouses);
     std::printf("  %-10s %12s %12s\n", "threads", "SV-Txn", "abort%");
-    for (const auto t64 : threads_list) {
-      const auto threads = static_cast<unsigned>(t64);
+    for (const unsigned threads : threads_list) {
       sv::dbx::tpcc::TpccStats st;
       sv::stats::Snapshot counters;
       const double mtxn =

@@ -81,7 +81,7 @@ static int run(const Options& opt) {
   }
   const auto bits = opt.u64("range-bits", 20);
   const std::uint64_t range = 1ULL << bits;
-  const auto threads = static_cast<unsigned>(opt.u64("threads", 2));
+  const auto threads = opt.threads(2);
   const double seconds = opt.f64("seconds", 1.0);
   const std::string json_path = opt.str("json", "");
 

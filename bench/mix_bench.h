@@ -25,7 +25,7 @@ using sv::benchutil::Options;
 
 struct SweepConfig {
   std::vector<std::uint64_t> range_bits;
-  std::vector<std::uint64_t> threads;
+  std::vector<unsigned> threads;
   double seconds;
   unsigned trials;
   bool include_usl_hp;
@@ -40,7 +40,7 @@ inline SweepConfig sweep_from_options(const Options& opt) {
   // Paper: 2^20 / 2^24 / 2^28 / 2^31. Laptop defaults stay cache-relevant
   // but tractable; scale with --range-bits=20,24,28,31.
   s.range_bits = opt.u64_list("range-bits", {16, 20});
-  s.threads = opt.u64_list("threads", {1, 2, 4});
+  s.threads = opt.threads_list({1, 2, 4});
   s.seconds = opt.f64("seconds", 0.5);
   s.trials = static_cast<unsigned>(opt.u64("trials", 1));
   s.include_usl_hp = !opt.flag("no-usl-hp");
@@ -157,8 +157,7 @@ inline void run_sweep(const char* title, MixSpec mix, const SweepConfig& cfg,
     if (cfg.include_lazy) std::printf(" %12s", "LazySL");
     std::printf("\n");
 
-    for (const auto t64 : cfg.threads) {
-      const auto threads = static_cast<unsigned>(t64);
+    for (const unsigned threads : cfg.threads) {
       const auto sv_cfg = core::Config::for_elements(expected);
       const auto usl_cfg = core::Config::usl_for_elements(expected);
 

@@ -71,6 +71,13 @@ auto number(const std::string& s, Parse parse) {
   }
 }
 
+unsigned thread_count(std::uint64_t v) {
+  if (v == 0 || v > std::numeric_limits<unsigned>::max()) {
+    throw std::invalid_argument("bad thread count: " + std::to_string(v));
+  }
+  return static_cast<unsigned>(v);
+}
+
 }  // namespace
 
 std::uint64_t Options::parse_u64(const std::string& s) {
@@ -145,6 +152,20 @@ std::vector<std::uint64_t> Options::u64_list(
     if (comma == std::string::npos) break;
     start = comma + 1;
   }
+  return out;
+}
+
+unsigned Options::threads(unsigned def) const {
+  return thread_count(u64("threads", def));
+}
+
+std::vector<unsigned> Options::threads_list(std::vector<unsigned> def) const {
+  if (kv_.find("threads") == kv_.end()) return def;
+  std::vector<unsigned> out;
+  for (const std::uint64_t v : u64_list("threads", {})) {
+    out.push_back(thread_count(v));
+  }
+  if (out.empty()) throw std::invalid_argument("no thread count in --threads");
   return out;
 }
 

@@ -27,6 +27,13 @@ class Options {
   std::vector<std::uint64_t> u64_list(const std::string& name,
                                       std::vector<std::uint64_t> def) const;
 
+  // --threads as one thread count / a comma-separated sweep of them. Every
+  // count must be at least 1 and fit `unsigned` (and a sweep must name at
+  // least one), else std::invalid_argument: a bench exits 2 before it
+  // starts a thread instead of running none or wrapping 2^32 to 0.
+  unsigned threads(unsigned def) const;
+  std::vector<unsigned> threads_list(std::vector<unsigned> def) const;
+
   // Throw std::invalid_argument if any parsed option is not in `allowed`.
   // Opt-in so tools can reject typos (--winodw=...) with a usage error
   // instead of silently running with the default.

@@ -5,8 +5,9 @@
 // memory speed. This header provides the search kernels VectorMap routes
 // through:
 //
-//   sorted chunks    lower_bound / upper_bound  (branchless narrowing + a
-//                    vectorized counting scan of the final block)
+//   sorted chunks    lower_bound / upper_bound  (branch-free narrowing + a
+//                    vectorized counting scan of the final block; without
+//                    vector code, scalar::bound's narrowing to the end)
 //   unsorted chunks  find_le / find_ge / find_eq (one linear pass with a
 //                    vector best-candidate accumulator instead of the O(T)
 //                    scalar compare-and-branch scan -- the Fig. 7b pain
@@ -17,7 +18,7 @@
 //   SV_FORCE_SCALAR  -> scalar everywhere (escape hatch; CMake option)
 //   __AVX2__         -> AVX2 kernels, u32 and u64
 //   __SSE2__         -> SSE2 kernels, u32 only (SSE2 lacks 64-bit compare
-//                       and blend; u64 stays scalar)
+//                       and blend; u64 takes the scalar kernels)
 //   __aarch64__      -> NEON kernels, u32 and u64
 //   otherwise        -> scalar
 //
@@ -100,38 +101,43 @@ inline constexpr const char* kIsaName =
 //
 // Always compiled, whatever the ISA: they are the parity oracle for
 // tests/simd_test.cc, the tail/fallback path of the vector kernels, and the
-// baseline side of the bench/micro_primitives.cc kernel benches.
+// baseline side of the bench/micro_primitives.cc kernel benches. bound() is
+// also VectorMap's sorted-chunk search over relaxed atomic loads whenever it
+// does not scan raw memory -- u64 keys in the default x86-64 build among
+// them -- so it is the chunk search most builds run.
 
 namespace scalar {
 
-// First index with a[i] >= k (n if none). Branchless narrowing: the probe
-// a[lo+half] either moves lo past it or shrinks the half, so the loop runs
-// exactly ceil(log2(n+1)) iterations with no mispredicted branch.
+// First index of a sorted run of n elements, read through load(i), whose
+// element is > k (kUpper) or >= k (!kUpper); n if none. Branch-free
+// narrowing (Khuong & Morin, "Array Layouts for Comparison-Based
+// Searching", JEA 2017): each of the ceil(log2 n) steps picks the next base
+// with a conditional move, so a random key mispredicts nothing, and one
+// compare at the end finishes. Reads only indexes in [0, n), whatever the
+// loaded values, so a speculative caller's torn reads stay in bounds.
+template <bool kUpper, class Load, class K>
+inline std::uint32_t bound(Load load, std::uint32_t n, K k) noexcept {
+  const auto before = [&k](const K& x) { return kUpper ? x <= k : x < k; };
+  if (n == 0) return 0;
+  std::uint32_t base = 0;
+  while (n > 1) {
+    const std::uint32_t half = n / 2;
+    base = before(load(base + half)) ? base + half : base;
+    n -= half;
+  }
+  return base + before(load(base));
+}
+
+// First index with a[i] >= k (n if none).
 template <class K>
 inline std::uint32_t lower_bound(const K* a, std::uint32_t n, K k) noexcept {
-  std::uint32_t lo = 0;
-  std::uint32_t len = n;
-  while (len > 0) {
-    const std::uint32_t half = len / 2;
-    const bool lt = a[lo + half] < k;
-    lo = lt ? lo + half + 1 : lo;
-    len = lt ? len - half - 1 : half;
-  }
-  return lo;
+  return bound<false>([a](std::uint32_t i) { return a[i]; }, n, k);
 }
 
 // First index with a[i] > k (n if none).
 template <class K>
 inline std::uint32_t upper_bound(const K* a, std::uint32_t n, K k) noexcept {
-  std::uint32_t lo = 0;
-  std::uint32_t len = n;
-  while (len > 0) {
-    const std::uint32_t half = len / 2;
-    const bool le = a[lo + half] <= k;
-    lo = le ? lo + half + 1 : lo;
-    len = le ? len - half - 1 : half;
-  }
-  return lo;
+  return bound<true>([a](std::uint32_t i) { return a[i]; }, n, k);
 }
 
 // Index of the first element equal to k, kNpos if absent.

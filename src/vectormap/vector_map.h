@@ -17,6 +17,10 @@
 // construction (the skip vector picks one per layer, docs/TUNING.md
 // "Chunk layouts"):
 //   Sorted:   keys ascending; O(log T) lookup, O(T) insert/erase (shifts).
+//             Every lookup, index_down, range start and insert/erase
+//             position is one lower or upper bound, searched branch-free:
+//             simd::scalar::bound over relaxed atomic loads, or the raw-scan
+//             kernels below.
 //   Unsorted: append/swap-with-last; O(T) lookup, O(1) insert/erase writes.
 // The tag never changes, so a speculative reader always dispatches the
 // kernel matching the bytes it reads.
@@ -49,8 +53,11 @@
 //     scalar path -- always compiled -- is selected instead.
 //
 // sv::stats attribution: every routed chunk search counts kSimdSearches
-// (raw-scan builds) or kScalarFallbacks (TSan / SV_FORCE_SCALAR / exotic
-// key types), so JSON reports show which path a run actually took.
+// (raw-scan builds) or kScalarFallbacks (the atomic-load path: u64 keys in
+// the default x86-64 build, whose SSE2 has no 64-bit compare, and TSan /
+// SV_FORCE_SCALAR / other key types), so JSON reports show which path a run
+// actually took. The atomic-load path is not a degraded one: its sorted
+// search is the same branch-free narrowing as the scalar kernel.
 #pragma once
 
 #include <algorithm>
@@ -386,6 +393,10 @@ class VectorMap {
     vals_[i].store(v, std::memory_order_relaxed);
   }
 
+  auto key_loader() const noexcept {
+    return [this](std::uint32_t i) { return load_key(i); };
+  }
+
   // The key array viewed as plain memory; only used when kRawScan proved
   // the layouts identical (see the header comment for why this is sound
   // under the speculation protocol).
@@ -412,37 +423,13 @@ class VectorMap {
 
   // Sorted layout: first index with key > k / >= k.
   std::uint32_t sorted_upper_bound(std::uint32_t n, K k) const noexcept {
-    if constexpr (kRawScan) {
-      return simd::upper_bound(raw_keys(), n, k);
-    } else {
-      std::uint32_t lo = 0, hi = n;
-      while (lo < hi) {
-        const std::uint32_t mid = lo + (hi - lo) / 2;
-        if (load_key(mid) <= k) {
-          lo = mid + 1;
-        } else {
-          hi = mid;
-        }
-      }
-      return lo;
-    }
+    if constexpr (kRawScan) return simd::upper_bound(raw_keys(), n, k);
+    return simd::scalar::bound<true>(key_loader(), n, k);
   }
 
   std::uint32_t sorted_lower_bound(std::uint32_t n, K k) const noexcept {
-    if constexpr (kRawScan) {
-      return simd::lower_bound(raw_keys(), n, k);
-    } else {
-      std::uint32_t lo = 0, hi = n;
-      while (lo < hi) {
-        const std::uint32_t mid = lo + (hi - lo) / 2;
-        if (load_key(mid) < k) {
-          lo = mid + 1;
-        } else {
-          hi = mid;
-        }
-      }
-      return lo;
-    }
+    if constexpr (kRawScan) return simd::lower_bound(raw_keys(), n, k);
+    return simd::scalar::bound<false>(key_loader(), n, k);
   }
 
   // Largest key <= k, layout-aware.

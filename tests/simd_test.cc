@@ -8,7 +8,8 @@
 //   2. Routing: VectorMap search results match a std::map oracle under
 //      both layouts whatever path kRawScan selected, and the scalar
 //      atomic-load path is provably selected under ThreadSanitizer and
-//      SV_FORCE_SCALAR (compile-time asserts).
+//      SV_FORCE_SCALAR (compile-time asserts). A sweep grows a sorted
+//      chunk one insert at a time and checks its searches at every fill.
 //   3. Torn reads: a writer mutating a chunk under its sequence lock while
 //      readers run speculative find_le/find_ge raw scans; every validated
 //      read is consistent and the retry loop converges.
@@ -17,6 +18,7 @@
 #include <algorithm>
 #include <atomic>
 #include <cstdint>
+#include <limits>
 #include <map>
 #include <memory>
 #include <random>
@@ -228,6 +230,85 @@ TEST(VectorMapRouting, SortedMatchesOracle) {
 }
 TEST(VectorMapRouting, UnsortedMatchesOracle) {
   vectormap_oracle_parity<Layout::kUnsorted>();
+}
+
+// Every fill of a sorted chunk, not just full and half-full ones: the
+// narrowing search takes a different number of steps at each n, and an
+// off-by-one in its last step shows only around n = 2^j. The chunk grows
+// one insert at a time in random key order; at each fill n (0..cap) every
+// key, its neighbours and the extremes are probed against std::lower_bound
+// and std::upper_bound on a sorted copy.
+template <class K>
+void sorted_sweep_every_fill() {
+  std::mt19937_64 rng(11);
+  for (const std::uint32_t cap : {64u, 128u, 129u}) {
+    auto keys = std::make_unique<std::atomic<K>[]>(cap);
+    auto vals = std::make_unique<std::atomic<std::uint64_t>[]>(cap);
+    VectorMap<K, std::uint64_t> vm(keys.get(), vals.get(), cap,
+                                   Layout::kSorted);
+    const auto val_of = [](K k) { return static_cast<std::uint64_t>(k) * 3 + 1; };
+    std::uniform_int_distribution<K> dist(std::numeric_limits<K>::min() + 2,
+                                          std::numeric_limits<K>::max() - 2);
+    std::vector<K> sorted;
+    for (std::uint32_t n = 0;; ++n) {
+      ASSERT_EQ(vm.size(), n);
+      std::uint32_t slot = 0;
+      vm.for_each([&](K k, std::uint64_t) {
+        ASSERT_EQ(k, sorted[slot++]) << "cap=" << cap << " n=" << n;
+      });
+      std::vector<K> probes{std::numeric_limits<K>::min(), K{0},
+                            std::numeric_limits<K>::max()};
+      for (const K k : sorted) {
+        probes.insert(probes.end(), {k, static_cast<K>(k - 1),
+                                     static_cast<K>(k + 1)});
+      }
+      for (const K p : probes) {
+        const auto lb = static_cast<std::uint32_t>(
+            std::lower_bound(sorted.begin(), sorted.end(), p) - sorted.begin());
+        const auto ub = static_cast<std::uint32_t>(
+            std::upper_bound(sorted.begin(), sorted.end(), p) - sorted.begin());
+        const bool present = lb < n && sorted[lb] == p;
+        const auto le = vm.find_le(p);
+        ASSERT_EQ(le.found, ub > 0) << "cap=" << cap << " n=" << n;
+        if (ub > 0) {
+          ASSERT_EQ(le.key, sorted[ub - 1]) << "cap=" << cap << " n=" << n;
+          ASSERT_EQ(le.val, val_of(le.key));
+        }
+        const auto ge = vm.find_ge(p);
+        ASSERT_EQ(ge.found, lb < n) << "cap=" << cap << " n=" << n;
+        if (lb < n) {
+          ASSERT_EQ(ge.key, sorted[lb]) << "cap=" << cap << " n=" << n;
+          ASSERT_EQ(ge.val, val_of(ge.key));
+        }
+        ASSERT_EQ(vm.contains(p), present) << "cap=" << cap << " n=" << n;
+        const auto got = vm.get(p);
+        ASSERT_EQ(got.has_value(), present) << "cap=" << cap << " n=" << n;
+        if (present) {
+          ASSERT_EQ(*got, val_of(p));
+        }
+      }
+      if (n == cap) break;
+      K k = dist(rng);
+      while (std::binary_search(sorted.begin(), sorted.end(), k)) {
+        k = dist(rng);
+      }
+      ASSERT_TRUE(vm.insert(k, val_of(k)));
+      sorted.insert(std::upper_bound(sorted.begin(), sorted.end(), k), k);
+    }
+    EXPECT_TRUE(vm.full());
+  }
+}
+
+// The map's own key type: raw-scan kernels where the build vectorizes u64,
+// the branch-free atomic-load search otherwise (default x86-64, TSan,
+// SV_FORCE_SCALAR).
+TEST(VectorMapSortedSweep, EveryFillU64) {
+  sorted_sweep_every_fill<std::uint64_t>();
+}
+// No kernel covers signed keys, so every build runs the atomic-load search.
+TEST(VectorMapSortedSweep, EveryFillSignedKeys) {
+  static_assert(!VectorMap<std::int64_t, std::uint64_t>::kRawScan);
+  sorted_sweep_every_fill<std::int64_t>();
 }
 
 // ---- Torn-read convergence ---------------------------------------------------

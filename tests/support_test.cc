@@ -156,6 +156,41 @@ TEST(Options, MalformedValuesExit2ThroughBenchMain) {
   EXPECT_EQ(main_of({"prog", "--hash"}), 2);
 }
 
+// A thread count of 0, or one that would wrap to 0 as unsigned, throws
+// before a bench starts a thread; bench_main turns that into exit code 2.
+TEST(Options, BadThreadCountsExit2ThroughBenchMain) {
+  using benchutil::Options;
+  const auto parse = [](const char* arg) {
+    const char* argv[] = {"prog", arg};
+    return Options(2, const_cast<char**>(argv));
+  };
+  EXPECT_EQ(parse("--threads=3").threads(2), 3u);
+  EXPECT_EQ(parse("--seconds=1").threads(2), 2u);
+  EXPECT_EQ(parse("--threads=4294967295").threads(2), 4294967295u);
+  EXPECT_THROW(parse("--threads=0").threads(2), std::invalid_argument);
+  EXPECT_THROW(parse("--threads=4294967296").threads(2),
+               std::invalid_argument);
+  EXPECT_EQ(parse("--threads=1,4").threads_list({2}),
+            (std::vector<unsigned>{1, 4}));
+  EXPECT_EQ(parse("--seconds=1").threads_list({1, 2, 4}),
+            (std::vector<unsigned>{1, 2, 4}));
+  EXPECT_THROW(parse("--threads=1,0").threads_list({1}),
+               std::invalid_argument);
+  EXPECT_THROW(parse("--threads=2^32").threads_list({1}),
+               std::invalid_argument);
+  EXPECT_THROW(parse("--threads=").threads_list({1}), std::invalid_argument);
+  const auto main_of = [](const char* arg) {
+    const char* argv[] = {"prog", arg};
+    return benchutil::bench_main(
+        "prog", 2, const_cast<char**>(argv), [](const Options& opt) {
+          return opt.threads_list({1}).front() == 2 ? 0 : 1;
+        });
+  };
+  EXPECT_EQ(main_of("--threads=2"), 0);
+  EXPECT_EQ(main_of("--threads=0"), 2);
+  EXPECT_EQ(main_of("--threads=2,4294967296"), 2);
+}
+
 // ---- RNG / Zipf ----------------------------------------------------------------------
 
 TEST(Rng, UniformBelowBoundAndDeterministic) {
