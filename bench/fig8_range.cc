@@ -8,7 +8,10 @@
 // scaling for both.
 #include <atomic>
 #include <cstdio>
+#include <limits>
 #include <memory>
+#include <stdexcept>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -159,8 +162,13 @@ static int run(const Options& opt) {
   const double seconds = opt.f64("seconds", 0.5);
 
   const auto shards = static_cast<std::uint32_t>(opt.u64("shards", 0));
-  // Sentinel ~0: default the writer count to each cell's scanner count.
-  const auto writers_opt = opt.u64("writers", ~0ULL);
+  // Unset: each cell's writer count is its scanner count.
+  const bool writers_default = opt.str("writers", "").empty();
+  const std::uint64_t writers_opt = opt.u64("writers", 1);
+  if (writers_opt > std::numeric_limits<unsigned>::max()) {
+    throw std::invalid_argument("bad writer count: " +
+                                std::to_string(writers_opt));
+  }
   const std::string json_path = opt.str("json", "");
 
   BenchReport report("fig8_range");
@@ -242,7 +250,7 @@ static int run(const Options& opt) {
       std::printf("  %-10s %-10s %14s %14s\n", "scanners", "writers",
                   "SV-Lock", "SV-Snap");
       for (const unsigned threads : threads_list) {
-        const auto writers = writers_opt == ~0ULL
+        const auto writers = writers_default
                                  ? threads
                                  : static_cast<unsigned>(writers_opt);
         double lock_kops, snap_kops;

@@ -14,7 +14,6 @@
 
 #include "benchutil/json_report.h"
 #include "common/rng.h"
-#include "common/simd.h"
 #include "core/skip_vector.h"
 #include "reclaim/hazard_pointers.h"
 #include "sync/sequence_lock.h"
@@ -97,68 +96,6 @@ void BM_ChunkInsertErase(benchmark::State& state) {
 }
 BENCHMARK(BM_ChunkInsertErase<Layout::kSorted>)->Arg(8)->Arg(64)->Arg(512);
 BENCHMARK(BM_ChunkInsertErase<Layout::kUnsorted>)->Arg(8)->Arg(64)->Arg(512);
-
-// ---- Isolated chunk-search kernels (src/common/simd.h) ----------------------
-//
-// Raw uint64_t arrays, no VectorMap/seqlock overhead: measures exactly the
-// kernel the dispatch layer selected at compile time vs the always-compiled
-// scalar reference. The `Dispatch` rows carry the same names in every
-// build, so comparing an SV_FORCE_SCALAR build's JSON against an
-// SV_MARCH_NATIVE build's with tools/benchdiff.py yields the SIMD-vs-scalar
-// kernel speedup on identical row keys (the ISSUE 4 acceptance number);
-// the `ScalarRef` rows give the same comparison within a single binary.
-// Sizes sweep the paper's target-size range (16..256; capacity = 2T).
-
-enum class Kernel { kSortedLE, kSortedGE, kUnsortedLE, kUnsortedGE };
-
-template <Kernel kKernel, bool kDispatch>
-void BM_ChunkKernel(benchmark::State& state) {
-  const auto n = static_cast<std::uint32_t>(state.range(0));
-  constexpr bool kSortedKernel =
-      kKernel == Kernel::kSortedLE || kKernel == Kernel::kSortedGE;
-  std::vector<std::uint64_t> keys;
-  Xoshiro256 rng(17);
-  // Unique keys, spaced 3 apart with a shuffled layout for the unsorted
-  // kernels; sorted kernels get the ascending order the layout guarantees.
-  for (std::uint32_t i = 0; i < n; ++i) keys.push_back(3 * (i + 1));
-  if constexpr (!kSortedKernel) {
-    for (std::uint32_t i = n; i > 1; --i) {
-      std::swap(keys[i - 1], keys[rng.next_below(i)]);
-    }
-  }
-  for (auto _ : state) {
-    const std::uint64_t probe = rng.next_below(3 * n + 3);
-    std::uint32_t r;
-    if constexpr (kKernel == Kernel::kSortedLE) {
-      r = kDispatch ? sv::simd::upper_bound(keys.data(), n, probe)
-                    : sv::simd::scalar::upper_bound(keys.data(), n, probe);
-    } else if constexpr (kKernel == Kernel::kSortedGE) {
-      r = kDispatch ? sv::simd::lower_bound(keys.data(), n, probe)
-                    : sv::simd::scalar::lower_bound(keys.data(), n, probe);
-    } else if constexpr (kKernel == Kernel::kUnsortedLE) {
-      r = kDispatch ? sv::simd::find_le(keys.data(), n, probe)
-                    : sv::simd::scalar::find_le(keys.data(), n, probe);
-    } else {
-      r = kDispatch ? sv::simd::find_ge(keys.data(), n, probe)
-                    : sv::simd::scalar::find_ge(keys.data(), n, probe);
-    }
-    benchmark::DoNotOptimize(r);
-  }
-  state.SetItemsProcessed(state.iterations());
-}
-
-#define SV_KERNEL_BENCH(kernel, name)                                \
-  BENCHMARK(BM_ChunkKernel<Kernel::kernel, true>)                    \
-      ->Name("BM_Kernel" name "_Dispatch")                           \
-      ->Arg(16)->Arg(32)->Arg(64)->Arg(128)->Arg(256);               \
-  BENCHMARK(BM_ChunkKernel<Kernel::kernel, false>)                   \
-      ->Name("BM_Kernel" name "_ScalarRef")                          \
-      ->Arg(16)->Arg(32)->Arg(64)->Arg(128)->Arg(256)
-SV_KERNEL_BENCH(kSortedLE, "SortedFindLE");
-SV_KERNEL_BENCH(kSortedGE, "SortedFindGE");
-SV_KERNEL_BENCH(kUnsortedLE, "UnsortedFindLE");
-SV_KERNEL_BENCH(kUnsortedGE, "UnsortedFindGE");
-#undef SV_KERNEL_BENCH
 
 void BM_SkipVectorLookupHit(benchmark::State& state) {
   const std::uint64_t n = 1ULL << static_cast<std::uint64_t>(state.range(0));

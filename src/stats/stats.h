@@ -80,9 +80,12 @@ enum class Counter : std::uint32_t {
   kSeqlockAcquireRetries,  // acquire() retries (failed CAS or locked/frozen)
 
   // Chunk mechanics (counted inside vectormap/vector_map.h).
+  // kScalarFallbacks counts every chunk search and kSimdSearches is always
+  // 0: both keep the names of a removed vector-kernel path because
+  // svbench's vectormap.simd_frac and searches_per_op read them.
   kChunkShiftedSlots,  // element slots moved by sorted-layout insert/erase
-  kSimdSearches,       // chunk searches routed through vector kernels
-  kScalarFallbacks,    // chunk searches that took the scalar atomic path
+  kSimdSearches,
+  kScalarFallbacks,
 
   // Reclamation (counted inside reclaim/).
   kHpScanPasses,   // hazard-pointer scan passes

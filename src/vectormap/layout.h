@@ -1,6 +1,6 @@
 // The per-chunk layout tag (Fig. 7b): split out of vector_map.h so that
-// Config (src/core/config.h) can name layouts without pulling in the SIMD
-// and stats machinery.
+// Config (src/core/config.h) can name layouts without pulling in the
+// chunk-search and stats machinery.
 #pragma once
 
 #include <cstdint>

@@ -18,52 +18,23 @@
 // "Chunk layouts"):
 //   Sorted:   keys ascending; O(log T) lookup, O(T) insert/erase (shifts).
 //             Every lookup, index_down, range start and insert/erase
-//             position is one lower or upper bound, searched branch-free:
-//             simd::scalar::bound over relaxed atomic loads, or the raw-scan
-//             kernels below.
+//             position is one lower or upper bound, searched branch-free
+//             (simd::scalar::bound).
 //   Unsorted: append/swap-with-last; O(T) lookup, O(1) insert/erase writes.
-// The tag never changes, so a speculative reader always dispatches the
-// kernel matching the bytes it reads.
+//             Every search is one linear pass (simd::scalar::find_*).
+// The tag never changes, so a speculative reader always runs the search
+// matching the bytes it reads.
 //
-// Vectorized speculative reads (kRawScan). When K is uint32_t/uint64_t and
-// std::atomic<K> is layout-identical to K and always lock-free, the search
-// helpers reinterpret the key array as a plain `const K*` and run the
-// sv::simd kernels (src/common/simd.h) over it instead of per-element
-// atomic loads. Why this is sound under the speculation protocol:
-//
-//   * std::atomic<K> with sizeof/alignof equal to K and
-//     is_always_lock_free holds exactly one K object at the same address,
-//     so the reinterpreted loads read the same bytes the relaxed
-//     element loads would.
-//   * The scalar path already uses memory_order_relaxed loads: no
-//     ordering is lost by reading the bytes directly. The required
-//     ordering lives entirely in the sequence lock (acquire fence inside
-//     SequenceLock::validate).
-//   * A racing writer can make the raw scan observe torn *sets* of
-//     elements -- exactly what the relaxed atomic path already tolerates.
-//     Unlike atomic loads, an individual raw load racing a store is
-//     formally a data race in the C++ abstract machine; in practice (and
-//     on every ISA we target) an aligned word load returns some value,
-//     the kernels are bounded and return only kNpos or an index < n, and
-//     SequenceLock::validate rejects every racy read section before a
-//     result escapes. This is the standard seqlock idiom; it is
-//     intentionally *not* visible to ThreadSanitizer as synchronized,
-//     so kRawScan is compiled out under TSan
-//     (tests/simd_test.cc asserts this) and the relaxed atomic-load
-//     scalar path -- always compiled -- is selected instead.
-//
-// sv::stats attribution: every routed chunk search counts kSimdSearches
-// (raw-scan builds) or kScalarFallbacks (the atomic-load path: u64 keys in
-// the default x86-64 build, whose SSE2 has no 64-bit compare, and TSan /
-// SV_FORCE_SCALAR / other key types), so JSON reports show which path a run
-// actually took. The atomic-load path is not a degraded one: its sorted
-// search is the same branch-free narrowing as the scalar kernel.
+// Every search reads the key array through key_loader(), one relaxed
+// atomic load per element: a read racing a writer is no data race, the
+// ordering lives entirely in the sequence lock (the acquire fence inside
+// SequenceLock::validate), and the TSan build checks the search the
+// release build runs.
 #pragma once
 
 #include <algorithm>
 #include <atomic>
 #include <cstdint>
-#include <limits>
 #include <optional>
 #include <type_traits>
 #include <utility>
@@ -75,26 +46,6 @@
 
 namespace sv::vectormap {
 
-namespace detail {
-
-// ThreadSanitizer cannot see seqlock-protected raw reads as synchronized;
-// the raw-scan path is compiled out under TSan so its reports stay
-// meaningful (SV_SANITIZE=thread).
-inline constexpr bool kTsanActive =
-#if defined(__SANITIZE_THREAD__)
-    true;
-#elif defined(__has_feature)
-#if __has_feature(thread_sanitizer)
-    true;
-#else
-    false;
-#endif
-#else
-    false;
-#endif
-
-}  // namespace detail
-
 template <class K, class V>
 class VectorMap {
   static_assert(std::is_trivially_copyable_v<K> &&
@@ -103,17 +54,6 @@ class VectorMap {
                 "read speculatively under sequence locks");
 
  public:
-  // Whether searches scan the key array as raw memory through the sv::simd
-  // kernels (see the memory-model note at the top of this header). False
-  // under TSan, under SV_FORCE_SCALAR (simd::vectorized_v is then false),
-  // and for key types the kernels do not cover -- those builds take the
-  // relaxed atomic-load scalar path below.
-  static constexpr bool kRawScan =
-      !detail::kTsanActive && simd::vectorized_v<K> &&
-      sizeof(std::atomic<K>) == sizeof(K) &&
-      alignof(std::atomic<K>) == alignof(K) &&
-      std::atomic<K>::is_always_lock_free;
-
   VectorMap(std::atomic<K>* keys, std::atomic<V>* vals, std::uint32_t capacity,
             Layout layout = Layout::kSorted) noexcept
       : keys_(keys), vals_(vals), capacity_(capacity), size_(0),
@@ -397,38 +337,24 @@ class VectorMap {
     return [this](std::uint32_t i) { return load_key(i); };
   }
 
-  // The key array viewed as plain memory; only used when kRawScan proved
-  // the layouts identical (see the header comment for why this is sound
-  // under the speculation protocol).
-  const K* raw_keys() const noexcept {
-    return reinterpret_cast<const K*>(keys_);
-  }
-
-  // One routed chunk search is about to run; attribute it to the compiled
-  // path so JSON reports show what production runs actually take.
+  // One chunk search is about to run. It counts kScalarFallbacks, the one
+  // search path's counter (stats.h).
   static void note_search() noexcept {
-    if constexpr (kRawScan) {
-      stats::count(stats::Counter::kSimdSearches);
-    } else {
-      stats::count(stats::Counter::kScalarFallbacks);
-    }
+    stats::count(stats::Counter::kScalarFallbacks);
   }
 
   // ---- Shared search helpers ----------------------------------------------
   // All searches below operate on the first n slots (n already clamped by
   // size()) and return an index < n, or simd::kNpos for "no qualifying
-  // element". Every public read and mutator lookup routes through these, so
-  // the SIMD dispatch lives in exactly one place per shape, branching on
-  // the chunk's layout tag.
+  // element". Every public read and mutator lookup routes through these,
+  // branching once on the chunk's layout tag.
 
   // Sorted layout: first index with key > k / >= k.
   std::uint32_t sorted_upper_bound(std::uint32_t n, K k) const noexcept {
-    if constexpr (kRawScan) return simd::upper_bound(raw_keys(), n, k);
     return simd::scalar::bound<true>(key_loader(), n, k);
   }
 
   std::uint32_t sorted_lower_bound(std::uint32_t n, K k) const noexcept {
-    if constexpr (kRawScan) return simd::lower_bound(raw_keys(), n, k);
     return simd::scalar::bound<false>(key_loader(), n, k);
   }
 
@@ -439,20 +365,7 @@ class VectorMap {
       const std::uint32_t ub = sorted_upper_bound(n, k);
       return ub == 0 ? simd::kNpos : ub - 1;
     }
-    if constexpr (kRawScan) {
-      return simd::find_le(raw_keys(), n, k);
-    } else {
-      std::uint32_t best = simd::kNpos;
-      K best_key{};
-      for (std::uint32_t i = 0; i < n; ++i) {
-        const K ki = load_key(i);
-        if (ki <= k && (best == simd::kNpos || ki > best_key)) {
-          best = i;
-          best_key = ki;
-        }
-      }
-      return best;
-    }
+    return simd::scalar::find_le(key_loader(), n, k);
   }
 
   // Smallest key >= k, layout-aware.
@@ -462,20 +375,7 @@ class VectorMap {
       const std::uint32_t lb = sorted_lower_bound(n, k);
       return lb < n ? lb : simd::kNpos;
     }
-    if constexpr (kRawScan) {
-      return simd::find_ge(raw_keys(), n, k);
-    } else {
-      std::uint32_t best = simd::kNpos;
-      K best_key{};
-      for (std::uint32_t i = 0; i < n; ++i) {
-        const K ki = load_key(i);
-        if (ki >= k && (best == simd::kNpos || ki < best_key)) {
-          best = i;
-          best_key = ki;
-        }
-      }
-      return best;
-    }
+    return simd::scalar::find_ge(key_loader(), n, k);
   }
 
   // Exact match, layout-aware.
@@ -485,59 +385,40 @@ class VectorMap {
       const std::uint32_t lb = sorted_lower_bound(n, k);
       return (lb < n && load_key(lb) == k) ? lb : simd::kNpos;
     }
-    if constexpr (kRawScan) {
-      return simd::find_eq(raw_keys(), n, k);
-    } else {
-      for (std::uint32_t i = 0; i < n; ++i) {
-        if (load_key(i) == k) return i;
-      }
-      return simd::kNpos;
-    }
+    return simd::scalar::find_eq(key_loader(), n, k);
   }
 
-  // Index of the smallest / largest key (kNpos when n == 0). kRawScan
-  // implies an unsigned integral K, so the numeric_limits probes below are
-  // well-defined there; other key types take the generic scan.
+  // Index of the smallest / largest key (kNpos when n == 0).
   std::uint32_t search_min(std::uint32_t n) const noexcept {
     if (sorted()) {
       return n != 0 ? 0 : simd::kNpos;
     }
-    if constexpr (kRawScan) {
-      if (n == 0) return simd::kNpos;
-      return simd::find_ge(raw_keys(), n, K{});
-    } else {
-      std::uint32_t best = simd::kNpos;
-      K best_key{};
-      for (std::uint32_t i = 0; i < n; ++i) {
-        const K ki = load_key(i);
-        if (best == simd::kNpos || ki < best_key) {
-          best = i;
-          best_key = ki;
-        }
+    std::uint32_t best = simd::kNpos;
+    K best_key{};
+    for (std::uint32_t i = 0; i < n; ++i) {
+      const K ki = load_key(i);
+      if (best == simd::kNpos || ki < best_key) {
+        best = i;
+        best_key = ki;
       }
-      return best;
     }
+    return best;
   }
 
   std::uint32_t search_max(std::uint32_t n) const noexcept {
     if (sorted()) {
       return n != 0 ? n - 1 : simd::kNpos;
     }
-    if constexpr (kRawScan) {
-      if (n == 0) return simd::kNpos;
-      return simd::find_le(raw_keys(), n, std::numeric_limits<K>::max());
-    } else {
-      std::uint32_t best = simd::kNpos;
-      K best_key{};
-      for (std::uint32_t i = 0; i < n; ++i) {
-        const K ki = load_key(i);
-        if (best == simd::kNpos || ki > best_key) {
-          best = i;
-          best_key = ki;
-        }
+    std::uint32_t best = simd::kNpos;
+    K best_key{};
+    for (std::uint32_t i = 0; i < n; ++i) {
+      const K ki = load_key(i);
+      if (best == simd::kNpos || ki > best_key) {
+        best = i;
+        best_key = ki;
       }
-      return best;
     }
+    return best;
   }
 
   // Index of k, or -1.

@@ -1,18 +1,18 @@
-// Parity and property tests for the vectorized chunk-search layer:
+// Tests for chunk search (src/common/simd.h) and the VectorMap searches
+// built on it:
 //
-//   1. Kernel parity: sv::simd frontends are element-identical to the
-//      sv::simd::scalar reference (and to std::lower_bound/upper_bound for
-//      the sorted shapes) over random duplicate-free chunks of every size
-//      0..capacity, with boundary keys (0, max) and probes at existing
-//      keys, their neighbors, and the extremes.
-//   2. Routing: VectorMap search results match a std::map oracle under
-//      both layouts whatever path kRawScan selected, and the scalar
-//      atomic-load path is provably selected under ThreadSanitizer and
-//      SV_FORCE_SCALAR (compile-time asserts). A sweep grows a sorted
-//      chunk one insert at a time and checks its searches at every fill.
+//   1. The scalar routines against independent oracles over random
+//      duplicate-free chunks of every size 0..300, with boundary keys (0,
+//      max) and probes at existing keys, their neighbors and the extremes:
+//      the sorted bounds against std::lower_bound/upper_bound, the
+//      loader-form unsorted find_le/find_ge/find_eq against a sorted copy
+//      searched with std::upper_bound/lower_bound and against std::find.
+//   2. VectorMap: search results match a std::map oracle under both
+//      layouts, and a sweep grows a chunk of each layout one insert at a
+//      time and checks its searches at every fill.
 //   3. Torn reads: a writer mutating a chunk under its sequence lock while
-//      readers run speculative find_le/find_ge raw scans; every validated
-//      read is consistent and the retry loop converges.
+//      readers run speculative find_le/find_ge; every validated read is
+//      consistent and the retry loop converges.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -40,33 +40,13 @@ using sv::sync::SequenceLock;
 using sv::vectormap::Layout;
 using sv::vectormap::VectorMap;
 
-#if defined(__SANITIZE_THREAD__)
-#define SV_TEST_TSAN 1
-#endif
-#if defined(__has_feature)
-#if __has_feature(thread_sanitizer)
-#define SV_TEST_TSAN 1
-#endif
-#endif
-
-// The scalar atomic-load path must be provably selected when raw scans
-// would be invisible to TSan, and under the explicit escape hatch.
-#if defined(SV_TEST_TSAN) || defined(SV_FORCE_SCALAR)
-static_assert(!VectorMap<std::uint64_t, std::uint64_t>::kRawScan);
-static_assert(!VectorMap<std::uint32_t, std::uint32_t>::kRawScan);
-#endif
-#if defined(SV_FORCE_SCALAR)
-static_assert(!sv::simd::vectorized_v<std::uint32_t>);
-static_assert(!sv::simd::vectorized_v<std::uint64_t>);
-#endif
-
 template <class K>
 class SimdKernelTest : public ::testing::Test {};
 using KernelKeyTypes = ::testing::Types<std::uint32_t, std::uint64_t>;
 TYPED_TEST_SUITE(SimdKernelTest, KernelKeyTypes);
 
 // Duplicate-free random keys, with the boundary values 0 and max forced in
-// for the larger sizes so the bias trick's edge cases are always exercised.
+// for the larger sizes so the extremes are always exercised.
 template <class K>
 std::vector<K> make_keys(std::mt19937_64& rng, std::uint32_t n) {
   std::vector<K> keys;
@@ -109,32 +89,40 @@ TYPED_TEST(SimdKernelTest, SortedBoundsMatchStd) {
           std::lower_bound(keys.begin(), keys.end(), k) - keys.begin());
       const auto ub = static_cast<std::uint32_t>(
           std::upper_bound(keys.begin(), keys.end(), k) - keys.begin());
-      ASSERT_EQ(sv::simd::lower_bound(keys.data(), n, k), lb)
+      ASSERT_EQ(sv::simd::scalar::lower_bound(keys.data(), n, k), lb)
           << "n=" << n << " k=" << k;
-      ASSERT_EQ(sv::simd::upper_bound(keys.data(), n, k), ub)
+      ASSERT_EQ(sv::simd::scalar::upper_bound(keys.data(), n, k), ub)
           << "n=" << n << " k=" << k;
-      ASSERT_EQ(sv::simd::scalar::lower_bound(keys.data(), n, k), lb);
-      ASSERT_EQ(sv::simd::scalar::upper_bound(keys.data(), n, k), ub);
     }
   }
 }
 
-TYPED_TEST(SimdKernelTest, UnsortedSearchesMatchScalarReference) {
+// The loader-form unsorted searches, called as VectorMap calls them,
+// against an oracle that shares no code with them: a sorted copy searched
+// with std::upper_bound / std::lower_bound, and std::find.
+TYPED_TEST(SimdKernelTest, UnsortedSearchesMatchOracle) {
   using K = TypeParam;
   std::mt19937_64 rng(43);
   for (std::uint32_t n = 0; n <= 300; ++n) {
     const std::vector<K> keys = make_keys<K>(rng, n);
+    std::vector<K> sorted = keys;
+    std::sort(sorted.begin(), sorted.end());
+    const auto load = [&keys](std::uint32_t i) { return keys[i]; };
+    const auto index_of = [&keys](K v) {
+      const auto it = std::find(keys.begin(), keys.end(), v);
+      return it == keys.end() ? kNpos
+                              : static_cast<std::uint32_t>(it - keys.begin());
+    };
     for (const K k : make_probes(rng, keys)) {
-      const std::uint32_t le_ref = sv::simd::scalar::find_le(keys.data(), n, k);
-      const std::uint32_t ge_ref = sv::simd::scalar::find_ge(keys.data(), n, k);
-      const std::uint32_t eq_ref = sv::simd::scalar::find_eq(keys.data(), n, k);
-      // Keys are duplicate-free, so the best-qualifying index is unique and
-      // the dispatch result must be element-identical, not merely tied.
-      ASSERT_EQ(sv::simd::find_le(keys.data(), n, k), le_ref)
+      const auto ub = std::upper_bound(sorted.begin(), sorted.end(), k);
+      const auto lb = std::lower_bound(sorted.begin(), sorted.end(), k);
+      ASSERT_EQ(sv::simd::scalar::find_le(load, n, k),
+                ub == sorted.begin() ? kNpos : index_of(*(ub - 1)))
           << "n=" << n << " k=" << k;
-      ASSERT_EQ(sv::simd::find_ge(keys.data(), n, k), ge_ref)
+      ASSERT_EQ(sv::simd::scalar::find_ge(load, n, k),
+                lb == sorted.end() ? kNpos : index_of(*lb))
           << "n=" << n << " k=" << k;
-      ASSERT_EQ(sv::simd::find_eq(keys.data(), n, k), eq_ref)
+      ASSERT_EQ(sv::simd::scalar::find_eq(load, n, k), index_of(k))
           << "n=" << n << " k=" << k;
     }
   }
@@ -142,20 +130,21 @@ TYPED_TEST(SimdKernelTest, UnsortedSearchesMatchScalarReference) {
 
 TYPED_TEST(SimdKernelTest, ScalarReferenceAgainstOracle) {
   using K = TypeParam;
-  // Pin the reference itself against a transparent O(n) oracle on a few
-  // hand-checkable chunks (the property tests above lean on it).
+  // Hand-checkable chunks, so a failure above can be told apart from a
+  // broken oracle.
   const std::vector<K> keys{5, 0, 17, 3, 9};
-  EXPECT_EQ(sv::simd::scalar::find_le(keys.data(), 5, K{4}), 3u);   // key 3
-  EXPECT_EQ(sv::simd::scalar::find_le(keys.data(), 5, K{17}), 2u);  // key 17
-  EXPECT_EQ(sv::simd::scalar::find_le(keys.data(), 5, K{0}), 1u);   // key 0
-  EXPECT_EQ(sv::simd::scalar::find_ge(keys.data(), 5, K{10}), 2u);  // key 17
-  EXPECT_EQ(sv::simd::scalar::find_ge(keys.data(), 5, K{18}), kNpos);
-  EXPECT_EQ(sv::simd::scalar::find_eq(keys.data(), 5, K{9}), 4u);
-  EXPECT_EQ(sv::simd::scalar::find_eq(keys.data(), 5, K{2}), kNpos);
-  EXPECT_EQ(sv::simd::scalar::find_le(keys.data(), 0, K{4}), kNpos);
+  const auto load = [&keys](std::uint32_t i) { return keys[i]; };
+  EXPECT_EQ(sv::simd::scalar::find_le(load, 5, K{4}), 3u);   // key 3
+  EXPECT_EQ(sv::simd::scalar::find_le(load, 5, K{17}), 2u);  // key 17
+  EXPECT_EQ(sv::simd::scalar::find_le(load, 5, K{0}), 1u);   // key 0
+  EXPECT_EQ(sv::simd::scalar::find_ge(load, 5, K{10}), 2u);  // key 17
+  EXPECT_EQ(sv::simd::scalar::find_ge(load, 5, K{18}), kNpos);
+  EXPECT_EQ(sv::simd::scalar::find_eq(load, 5, K{9}), 4u);
+  EXPECT_EQ(sv::simd::scalar::find_eq(load, 5, K{2}), kNpos);
+  EXPECT_EQ(sv::simd::scalar::find_le(load, 0, K{4}), kNpos);
 }
 
-// ---- VectorMap routing parity ----------------------------------------------
+// ---- VectorMap searches -----------------------------------------------------
 
 template <Layout L>
 struct Chunk {
@@ -232,30 +221,32 @@ TEST(VectorMapRouting, UnsortedMatchesOracle) {
   vectormap_oracle_parity<Layout::kUnsorted>();
 }
 
-// Every fill of a sorted chunk, not just full and half-full ones: the
-// narrowing search takes a different number of steps at each n, and an
-// off-by-one in its last step shows only around n = 2^j. The chunk grows
-// one insert at a time in random key order; at each fill n (0..cap) every
-// key, its neighbours and the extremes are probed against std::lower_bound
-// and std::upper_bound on a sorted copy.
+// Every fill of a chunk, not just full and half-full ones: the sorted
+// narrowing takes a different number of steps at each n, and an off-by-one
+// in its last step shows only around n = 2^j; the unsorted scan must stop
+// at every n. The chunk grows one insert at a time in random key order; at
+// each fill n (0..cap) every key, its neighbours and the extremes are
+// probed against std::lower_bound and std::upper_bound on a sorted copy.
 template <class K>
-void sorted_sweep_every_fill() {
+void sweep_every_fill(Layout layout) {
+  SCOPED_TRACE(layout == Layout::kSorted ? "sorted" : "unsorted");
   std::mt19937_64 rng(11);
   for (const std::uint32_t cap : {64u, 128u, 129u}) {
     auto keys = std::make_unique<std::atomic<K>[]>(cap);
     auto vals = std::make_unique<std::atomic<std::uint64_t>[]>(cap);
-    VectorMap<K, std::uint64_t> vm(keys.get(), vals.get(), cap,
-                                   Layout::kSorted);
+    VectorMap<K, std::uint64_t> vm(keys.get(), vals.get(), cap, layout);
     const auto val_of = [](K k) { return static_cast<std::uint64_t>(k) * 3 + 1; };
     std::uniform_int_distribution<K> dist(std::numeric_limits<K>::min() + 2,
                                           std::numeric_limits<K>::max() - 2);
     std::vector<K> sorted;
     for (std::uint32_t n = 0;; ++n) {
       ASSERT_EQ(vm.size(), n);
-      std::uint32_t slot = 0;
-      vm.for_each([&](K k, std::uint64_t) {
-        ASSERT_EQ(k, sorted[slot++]) << "cap=" << cap << " n=" << n;
-      });
+      if (layout == Layout::kSorted) {
+        std::uint32_t slot = 0;
+        vm.for_each([&](K k, std::uint64_t) {
+          ASSERT_EQ(k, sorted[slot++]) << "cap=" << cap << " n=" << n;
+        });
+      }
       std::vector<K> probes{std::numeric_limits<K>::min(), K{0},
                             std::numeric_limits<K>::max()};
       for (const K k : sorted) {
@@ -299,26 +290,25 @@ void sorted_sweep_every_fill() {
   }
 }
 
-// The map's own key type: raw-scan kernels where the build vectorizes u64,
-// the branch-free atomic-load search otherwise (default x86-64, TSan,
-// SV_FORCE_SCALAR).
+// The map's own key type.
 TEST(VectorMapSortedSweep, EveryFillU64) {
-  sorted_sweep_every_fill<std::uint64_t>();
+  sweep_every_fill<std::uint64_t>(Layout::kSorted);
+  sweep_every_fill<std::uint64_t>(Layout::kUnsorted);
 }
-// No kernel covers signed keys, so every build runs the atomic-load search.
+// A signed key type: the searches compare K, not its bits.
 TEST(VectorMapSortedSweep, EveryFillSignedKeys) {
-  static_assert(!VectorMap<std::int64_t, std::uint64_t>::kRawScan);
-  sorted_sweep_every_fill<std::int64_t>();
+  sweep_every_fill<std::int64_t>(Layout::kSorted);
+  sweep_every_fill<std::int64_t>(Layout::kUnsorted);
 }
 
 // ---- Torn-read convergence ---------------------------------------------------
 
 // A writer churns a chunk under its sequence lock while readers run the
 // speculative protocol (read_begin -> find_le/find_ge -> validate). The
-// raw-scan kernels may observe arbitrarily torn states mid-mutation; the
-// property is that validated results are always consistent (key from the
-// maintained universe, val == key * 3, correct side of the probe) and that
-// readers keep making progress (the retry loop converges).
+// searches may observe arbitrarily torn states mid-mutation; the property
+// is that validated results are always consistent (key from the maintained
+// universe, val == key * 3, correct side of the probe) and that readers
+// keep making progress (the retry loop converges).
 template <Layout L>
 void torn_read_convergence() {
   constexpr std::uint32_t kCap = 128;
@@ -391,8 +381,8 @@ using MapTypes =
                      sv::core::SkipVectorEpoch<std::uint64_t, std::uint64_t>>;
 TYPED_TEST_SUITE(SimdMapParityTest, MapTypes);
 
-// The SIMD-routed read path (lookup, floor, ceiling -- every descent plus
-// every chunk search) agrees with std::map under each reclaimer variant.
+// The read path (lookup, floor, ceiling -- every descent plus every chunk
+// search) agrees with std::map under each reclaimer variant.
 TYPED_TEST(SimdMapParityTest, ReadPathMatchesOracle) {
   const sv::test::LeakCheckDisabler allow_designed_leaks(
       std::is_same_v<TypeParam,

@@ -13,7 +13,8 @@
 // failures and forced yields at the structural transition points; see
 // docs/FAULT_INJECTION.md.
 //
-// Exits non-zero on the first violation.
+// Exits 1 on a violation, and 2 on a malformed command line (an unknown
+// flag, a value that does not parse, a thread count of 0).
 #include <atomic>
 #include <cstdio>
 #include <cstdint>
@@ -43,7 +44,7 @@ struct Violations {
 template <class Map>
 int run(Map& map, const Options& opt) {
   const double minutes = opt.f64("minutes", 0.2);
-  const auto threads = static_cast<unsigned>(opt.u64("threads", 4));
+  const unsigned threads = opt.threads(4);
   const std::uint64_t range = opt.u64("range", 1 << 12);
   const double check_every = opt.f64("check-every", 5.0);  // seconds
 
@@ -169,10 +170,10 @@ int run(Map& map, const Options& opt) {
   return (failures == 0 && live_violations == 0) ? 0 : 1;
 }
 
-}  // namespace
-
-int main(int argc, char** argv) {
-  Options opt(argc, argv);
+int run_torture(const Options& opt) {
+  opt.reject_unknown({"minutes", "threads", "range", "check-every",
+                      "reclaimer", "fi-schedule", "t-index", "t-data",
+                      "layers", "merge"});
   if (opt.help_requested()) {
     std::printf(
         "torture: long-running concurrent correctness soak\n"
@@ -227,4 +228,10 @@ int main(int argc, char** argv) {
   }
   std::fprintf(stderr, "unknown --reclaimer=%s\n", reclaimer.c_str());
   return 2;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  return sv::benchutil::bench_main("torture", argc, argv, run_torture);
 }
