@@ -6,11 +6,13 @@
 // right (the global shard order keeps two-phase locking deadlock-free).
 //
 // Sharding is by key range, not by hash, so ordered iteration and range
-// queries remain natural: shard i owns keys in [i * span, (i+1) * span).
+// queries remain natural: shard i owns keys in [i * span, (i+1) * span),
+// and the last shard also owns every key above that.
 #pragma once
 
 #include <algorithm>
 #include <cstdint>
+#include <limits>
 #include <memory>
 #include <optional>
 #include <utility>
@@ -27,12 +29,13 @@ class ShardedSkipVector {
   using Shard = SkipVectorMap<K, V, Reclaimer>;
 
  public:
-  // key_space is the exclusive upper bound of the key domain; keys must lie
-  // in [0, key_space). shard_count must be >= 1.
+  // key_space sets the shard span: shard i owns [i * span, (i+1) * span)
+  // with span = ceil(key_space / shard_count), and the last shard also owns
+  // every key from (shard_count - 1) * span up, key_space and beyond
+  // included. shard_count must be >= 1.
   ShardedSkipVector(std::uint64_t key_space, std::uint32_t shard_count,
                     Config config = Config{})
-      : key_space_(key_space),
-        span_(shard_count > 0 ? (key_space + shard_count - 1) / shard_count
+      : span_(shard_count > 0 ? (key_space + shard_count - 1) / shard_count
                               : 0),
         gates_(shard_count) {
     if (shard_count < 1 || key_space < 1 || span_ < 1) {
@@ -212,7 +215,6 @@ class ShardedSkipVector {
   // acquisition and the reverse-order release). Returns an empty guard for
   // the single-shard fast path.
   txn::ShardGates::Guard gate_span(K lo, K hi) {
-    if (hi >= key_space_) hi = static_cast<K>(key_space_ - 1);
     if (lo > hi) return {};
     const std::size_t first = shard_index(lo);
     const std::size_t last = shard_index(hi);
@@ -222,19 +224,18 @@ class ShardedSkipVector {
 
   template <class Body>
   void for_intersecting(K lo, K hi, Body&& body) {
-    if (hi >= key_space_) hi = static_cast<K>(key_space_ - 1);
     if (lo > hi) return;
-    std::size_t i = static_cast<std::size_t>(lo / span_);
-    const std::size_t end = static_cast<std::size_t>(hi / span_);
-    for (; i <= end && i < shards_.size(); ++i) {
+    const std::size_t end = shard_index(hi);
+    for (std::size_t i = shard_index(lo); i <= end; ++i) {
       const K shard_lo = static_cast<K>(i * span_);
-      const K shard_hi = static_cast<K>((i + 1) * span_ - 1);
+      const K shard_hi = i + 1 == shards_.size()
+                             ? std::numeric_limits<K>::max()
+                             : static_cast<K>((i + 1) * span_ - 1);
       body(*shards_[i], lo > shard_lo ? lo : shard_lo,
            hi < shard_hi ? hi : shard_hi);
     }
   }
 
-  const std::uint64_t key_space_;
   const std::uint64_t span_;
   std::vector<std::unique_ptr<Shard>> shards_;
   // Per-shard gates, held (ascending) by multi-shard operations only; the

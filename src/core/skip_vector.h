@@ -21,8 +21,15 @@
 //                  through this map's allocator.
 //
 // Every point operation reaches its key's data chunk by one speculative
-// descent from the top head (Listing 2); locate() is that descent for the
-// read-only and in-place callers.
+// descent from the top head (Listing 2). locate() is that descent for
+// lookup (and the transaction layer's pinned read through it), update,
+// floor, ceiling and both range paths; insert and remove (with tower
+// demotion, which shares remove's descent) write their own, because they
+// freeze or stop on index layers and merge as mutators. Every operation
+// runs in one OpScope and restarts through retry(); every write of a data
+// chunk's contents commits through one ChunkCommit, and a write that would
+// change nothing (a duplicate insert, a remove or update miss) is answered
+// by a validated read instead, like a lookup.
 //
 // Chunk layouts (Fig. 7b) are chosen per layer at runtime: every chunk is
 // born with Config::index_layout or Config::data_layout (layer_layout())
@@ -173,13 +180,9 @@ class SkipVectorMap {
   // ---- Lookup (Listing 2) --------------------------------------------------
 
   std::optional<V> lookup(K k) {
-    stats::Scope stats_scope(stats_);
-    Ctx ctx = reclaimer_.thread_ctx();
-    OpGuard op_scope(ctx);
+    OpScope op(*this);
     Trav at;
-    std::optional<V> result = lookup_at(ctx, k, at);
-    ctx.drop_all();
-    return result;
+    return lookup_at(op.ctx, k, at);
   }
 
   bool contains(K k) { return lookup(k).has_value(); }
@@ -200,23 +203,15 @@ class SkipVectorMap {
 
  private:
   bool insert_impl(K k, V v, std::uint32_t height) {
-    stats::Scope stats_scope(stats_);
-    Ctx ctx = reclaimer_.thread_ctx();
-    OpGuard op_scope(ctx);
-    sync::Backoff backoff;
+    OpScope op(*this);
     InsertState st;
-    for (;;) {
-      bool result = false;
-      if (try_insert(ctx, k, v, height, st, result)) {
-        if (result) approx_size_.fetch_add(1, std::memory_order_relaxed);
-        stats::count(result ? stats::Counter::kInsertNew
-                            : stats::Counter::kInsertDup);
-        return result;
-      }
-      ctx.drop_all();
-      stats::count(stats::Counter::kOpRestarts);
-      backoff.pause();
-    }
+    bool result = false;
+    retry(op.ctx,
+          [&] { return try_insert(op.ctx, k, v, height, st, result); });
+    if (result) approx_size_.fetch_add(1, std::memory_order_relaxed);
+    stats::count(result ? stats::Counter::kInsertNew
+                        : stats::Counter::kInsertDup);
+    return result;
   }
 
  public:
@@ -224,43 +219,25 @@ class SkipVectorMap {
 
   // Removes k; returns false (no change) if absent.
   bool remove(K k) {
-    stats::Scope stats_scope(stats_);
-    Ctx ctx = reclaimer_.thread_ctx();
-    OpGuard op_scope(ctx);
-    sync::Backoff backoff;
-    for (;;) {
-      bool result = false;
-      if (try_remove(ctx, k, result)) {
-        if (result) approx_size_.fetch_sub(1, std::memory_order_relaxed);
-        stats::count(result ? stats::Counter::kRemoveHit
-                            : stats::Counter::kRemoveMiss);
-        return result;
-      }
-      ctx.drop_all();
-      stats::count(stats::Counter::kOpRestarts);
-      backoff.pause();
-    }
+    OpScope op(*this);
+    bool result = false;
+    retry(op.ctx, [&] { return try_remove(op.ctx, k, result); });
+    if (result) approx_size_.fetch_sub(1, std::memory_order_relaxed);
+    stats::count(result ? stats::Counter::kRemoveHit
+                        : stats::Counter::kRemoveMiss);
+    return result;
   }
 
   // ---- Update in place -----------------------------------------------------
 
   // Replaces the value mapped by k; returns false if k is absent.
   bool update(K k, V v) {
-    stats::Scope stats_scope(stats_);
-    Ctx ctx = reclaimer_.thread_ctx();
-    OpGuard op_scope(ctx);
-    sync::Backoff backoff;
-    for (;;) {
-      bool result = false;
-      if (try_update(ctx, k, v, result)) {
-        stats::count(result ? stats::Counter::kUpdateHit
-                            : stats::Counter::kUpdateMiss);
-        return result;
-      }
-      ctx.drop_all();
-      stats::count(stats::Counter::kOpRestarts);
-      backoff.pause();
-    }
+    OpScope op(*this);
+    bool result = false;
+    retry(op.ctx, [&] { return try_update(op.ctx, k, v, result); });
+    stats::count(result ? stats::Counter::kUpdateHit
+                        : stats::Counter::kUpdateMiss);
+    return result;
   }
 
   // ---- Ordered navigation ----------------------------------------------------
@@ -274,78 +251,31 @@ class SkipVectorMap {
 
   // Largest mapping with key <= k, if any.
   Entry floor(K k) {
-    stats::Scope stats_scope(stats_);
-    Ctx ctx = reclaimer_.thread_ctx();
-    OpGuard op_scope(ctx);
-    sync::Backoff backoff;
-    for (;;) {
-      Entry out;
-      if (try_floor(ctx, k, out)) {
-        stats::count(stats::Counter::kOrderedNavOps);
-        return out;
-      }
-      ctx.drop_all();
-      stats::count(stats::Counter::kOpRestarts);
-      backoff.pause();
-    }
+    return navigate(
+        [&](Ctx& ctx, Entry& out) { return try_floor(ctx, k, out); });
   }
 
   // Smallest mapping with key >= k, if any.
   Entry ceiling(K k) {
-    stats::Scope stats_scope(stats_);
-    Ctx ctx = reclaimer_.thread_ctx();
-    OpGuard op_scope(ctx);
-    sync::Backoff backoff;
-    for (;;) {
-      Entry out;
-      if (try_ceiling(ctx, k, out)) {
-        stats::count(stats::Counter::kOrderedNavOps);
-        return out;
-      }
-      ctx.drop_all();
-      stats::count(stats::Counter::kOpRestarts);
-      backoff.pause();
-    }
+    return navigate([&](Ctx& ctx, Entry& out) {
+      Trav t;
+      return locate(ctx, k, t) &&
+             try_scan_forward(ctx, t, k, /*use_k=*/true, out);
+    });
   }
 
   // Smallest / largest mapping in the map, if any.
   Entry first() {
-    stats::Scope stats_scope(stats_);
-    Ctx ctx = reclaimer_.thread_ctx();
-    OpGuard op_scope(ctx);
-    sync::Backoff backoff;
-    for (;;) {
-      Entry out;
-      Trav t;
-      t.node = heads_[0];
-      t.slot = 0;
+    return navigate([&](Ctx& ctx, Entry& out) {
+      Trav t{heads_[0], 0, 0};
       ctx.protect(t.slot, t.node);
       t.ver = t.node->lock.read_begin();
-      if (try_scan_forward(ctx, t, K{}, /*use_k=*/false, out)) {
-        stats::count(stats::Counter::kOrderedNavOps);
-        return out;
-      }
-      ctx.drop_all();
-      stats::count(stats::Counter::kOpRestarts);
-      backoff.pause();
-    }
+      return try_scan_forward(ctx, t, K{}, /*use_k=*/false, out);
+    });
   }
 
   Entry last() {
-    stats::Scope stats_scope(stats_);
-    Ctx ctx = reclaimer_.thread_ctx();
-    OpGuard op_scope(ctx);
-    sync::Backoff backoff;
-    for (;;) {
-      Entry out;
-      if (try_last(ctx, out)) {
-        stats::count(stats::Counter::kOrderedNavOps);
-        return out;
-      }
-      ctx.drop_all();
-      stats::count(stats::Counter::kOpRestarts);
-      backoff.pause();
-    }
+    return navigate([&](Ctx& ctx, Entry& out) { return try_last(ctx, out); });
   }
 
   // ---- Range operations (§V-B, Fig. 8) --------------------------------------
@@ -391,6 +321,7 @@ class SkipVectorMap {
   // Quiescent: remove every mapping, retaining the layer skeleton. Nodes
   // are freed directly (no other thread may touch the map concurrently).
   void clear() {
+    ChunkCommit commit(*this);
     for (NodeBase* h : heads_) {
       NodeBase* n = h->next.load(std::memory_order_relaxed);
       while (n != nullptr) {
@@ -399,14 +330,14 @@ class SkipVectorMap {
         n = next;
       }
       h->next.store(nullptr, std::memory_order_relaxed);
+      h->lock.acquire();  // the release bumps the word: stale observers fail
       if (h->layer) {
         as_index(h)->vec.clear();
       } else {
-        as_data(h)->vec.clear();
+        commit.write(h);
         free_chain(h->vchain.exchange(nullptr, std::memory_order_relaxed));
-        h->mod_version.store(version_reserve(), std::memory_order_relaxed);
+        as_data(h)->vec.clear();
       }
-      h->lock.acquire();  // bump the version: invalidate stale observers
       h->lock.release();
     }
     approx_size_.store(0, std::memory_order_relaxed);
@@ -554,32 +485,22 @@ class SkipVectorMap {
     if (!view.versioned() || view.map_ != this) {
       return range_for_each(lo, hi, std::forward<Fn>(fn));
     }
-    stats::Scope stats_scope(stats_);
+    OpScope op(*this);
     stats::count(stats::Counter::kSnapshotScans);
-    Ctx ctx = reclaimer_.thread_ctx();
-    OpGuard op_scope(ctx);
     RecordCtx walks = record_epochs_.thread_ctx();
-    sync::Backoff backoff;
-    // The cursor (and visited count) live OUTSIDE the retry loop: a
-    // speculative-descent failure re-positions but never re-emits, so the
-    // scan's output stays append-only across retries.
+    // The cursor (and visited count) live OUTSIDE the retried attempt: only
+    // the index-layer positioning can fail (speculative descent), and it
+    // re-positions but never re-emits, so the scan's output stays
+    // append-only across retries.
     std::size_t visited = 0;
     bool emitted = false;
     K last{};
-    for (;;) {
-      if (try_range_at(ctx, walks, view.version_, lo, hi, fn, visited,
-                       emitted, last)) {
-        if (visited > 0) {
-          stats::count(stats::Counter::kRangeKeysVisited, visited);
-        }
-        return visited;
-      }
-      // Only the index-layer positioning can fail (speculative descent);
-      // the versioned data-layer emission itself never restarts.
-      ctx.drop_all();
-      stats::count(stats::Counter::kOpRestarts);
-      backoff.pause();
-    }
+    retry(op.ctx, [&] {
+      return try_range_at(op.ctx, walks, view.version_, lo, hi, fn, visited,
+                          emitted, last);
+    });
+    if (visited > 0) stats::count(stats::Counter::kRangeKeysVisited, visited);
+    return visited;
   }
 
   // Consistent copy of every mapping in [lo, hi]: a linearizable snapshot
@@ -604,15 +525,13 @@ class SkipVectorMap {
   // with each other, with range 2PL, and with single-key writers.
   std::size_t apply_batch(std::span<BatchOp> ops) {
     if (ops.empty()) return 0;
-    stats::Scope stats_scope(stats_);
-    Ctx ctx = reclaimer_.thread_ctx();
-    OpGuard op_scope(ctx);
+    OpScope op(*this);
     // The whole 2PL engine -- ascending NO_WAIT floor locks, towered-remove
     // demotes, single-version commit, bounded backoff between passes --
     // lives in the shared transaction layer (txn/lock_mgr.h): a batch is a
     // write-only transaction with an empty read set.
     const auto out =
-        txn::LockMgr<SkipVectorMap>::run_batch(*this, ctx, ops.data(),
+        txn::LockMgr<SkipVectorMap>::run_batch(*this, op.ctx, ops.data(),
                                                ops.size());
     if (out.delta != 0) {
       approx_size_.fetch_add(out.delta, std::memory_order_relaxed);
@@ -1243,16 +1162,102 @@ class SkipVectorMap {
     int slot = 0;  // hazard-pointer slot currently protecting `node`
   };
 
-  // RAII scope marking one logical operation for the reclaimer. Epoch-based
-  // policies pin the calling thread's epoch for the duration (covering every
-  // speculative read, including across restarts); no-op for the others.
-  struct OpGuard {
-    explicit OpGuard(Ctx& c) noexcept : ctx(c) { ctx.begin_op(); }
-    ~OpGuard() { ctx.end_op(); }
-    OpGuard(const OpGuard&) = delete;
-    OpGuard& operator=(const OpGuard&) = delete;
-    Ctx& ctx;
+  // ---- Operation scope and restarts ---------------------------------------
+  //
+  // Every public operation, and the transaction layer's reads and commits
+  // (txn/lock_mgr.h), runs inside one OpScope. Point operations, ordered
+  // navigation, ranges and tower demotion restart through retry(); a batch
+  // or transaction commit pass has its own abort-and-retry loop.
+
+  // One logical operation: its counters go to this map's registry, and its
+  // reclaimer ctx keeps the thread's epoch pinned (epoch-based policies)
+  // over every speculative read, across restarts. Ending the operation
+  // drops its hazard slots; pin slots stay (txn/txn.h). A caller that
+  // already holds the thread's ctx (a Txn's pinned reads) passes it in
+  // rather than looking it up again on every read.
+  struct OpScope {
+    explicit OpScope(SkipVectorMap& m)
+        : OpScope(m, m.reclaimer_.thread_ctx()) {}
+    OpScope(SkipVectorMap& m, Ctx c) : stats_scope(m.stats_), ctx(c) {
+      ctx.begin_op();
+    }
+    ~OpScope() {
+      ctx.drop_all();
+      ctx.end_op();
+    }
+    OpScope(const OpScope&) = delete;
+    OpScope& operator=(const OpScope&) = delete;
+    stats::Scope stats_scope;
+    Ctx ctx;
   };
+
+  // Runs attempt() until it returns true. A failed attempt -- a speculative
+  // read that did not validate, or a lock it could not take -- drops its
+  // hazard slots, counts a restart and backs off before the next.
+  template <class Attempt>
+  static void retry(Ctx& ctx, Attempt&& attempt) {
+    for (sync::Backoff backoff; !attempt(); backoff.pause()) {
+      ctx.drop_all();
+      stats::count(stats::Counter::kOpRestarts);
+    }
+  }
+
+  // floor/ceiling/first/last: attempt(ctx, out) fills out on success.
+  template <class Attempt>
+  Entry navigate(Attempt&& attempt) {
+    OpScope op(*this);
+    Entry out;
+    retry(op.ctx, [&] { return attempt(op.ctx, out); });
+    stats::count(stats::Counter::kOrderedNavOps);
+    return out;
+  }
+
+  // One commit of a state change to data chunks (docs/SNAPSHOTS.md,
+  // "Commit protocol"): every write of a data chunk's contents -- insert,
+  // remove, update, a mutating range, an orphan merge, clear() and a batch
+  // or transaction commit (txn/lock_mgr.h) -- goes through one. It is built
+  // under the write (or frozen) locks of the chunks it will write, and
+  // reserves the commit version c there, then decides once whether
+  // registered snapshots need pre-images. Each chunk goes through write()
+  // before its first mutation (a sibling it splits off through split(), a
+  // merged pair through merge()): that keeps its pre-image if a snapshot
+  // may need it and stamps mod_version = c, under the same lock as the
+  // mutation, so no validated read sees one without the other.
+  class ChunkCommit {
+   public:
+    explicit ChunkCommit(SkipVectorMap& m) noexcept
+        : map_(m),
+          version_(m.version_reserve()),
+          preserve_(m.snaps_.active() != 0) {}
+    ChunkCommit(const ChunkCommit&) = delete;
+    ChunkCommit& operator=(const ChunkCommit&) = delete;
+
+    void write(NodeBase* n) {
+      if (preserve_) map_.push_preimage(n);
+      stamp(n);
+    }
+    // sib was split off left at bound and is not yet published (or is
+    // locked by us): it takes its part of left's version chain.
+    void split(NodeBase* left, NodeBase* sib, K bound) {
+      if (preserve_) map_.fold_split(left, sib, bound);
+      stamp(sib);
+    }
+    // Before right's elements drain into left (both write-locked).
+    void merge(NodeBase* left, NodeBase* right) {
+      if (preserve_) map_.fold_merge(left, right);
+      stamp(left);
+      stamp(right);
+    }
+
+   private:
+    void stamp(NodeBase* n) noexcept {
+      n->mod_version.store(version_, std::memory_order_release);
+    }
+    SkipVectorMap& map_;
+    const std::uint64_t version_;
+    const bool preserve_;
+  };
+
   // RAII scope of one version-chain walk in record_epochs_: records that a
   // concurrent prune detaches stay allocated until it ends (maybe_prune).
   struct ChainWalk {
@@ -1359,11 +1364,7 @@ class SkipVectorMap {
         // orphan keeps its own pre-image for readers already past us) and
         // stamp both nodes so snapshot readers pinned below c resolve from
         // the chains, not the post-merge live contents.
-        std::uint64_t merge_ver = 0;
-        if (t.node->layer == 0) {
-          merge_ver = version_reserve();
-          if (snapshots_active()) fold_merge(t.node, next);
-        }
+        if (t.node->layer == 0) ChunkCommit(*this).merge(t.node, next);
 #if defined(SV_FAULT_INJECTION) && SV_FAULT_INJECTION
         // Mutation site (checker-teeth testing only): when fired, unlink the
         // orphan WITHOUT absorbing its elements -- every mapping it held
@@ -1373,10 +1374,6 @@ class SkipVectorMap {
         node_merge_from(t.node, next);
         t.node->next.store(next->next.load(std::memory_order_relaxed),
                            std::memory_order_release);
-        if (t.node->layer == 0) {
-          next->mod_version.store(merge_ver, std::memory_order_release);
-          t.node->mod_version.store(merge_ver, std::memory_order_release);
-        }
         // Poison the retired node's successor pointer. A versioned reader
         // standing on `next` (it holds a hazard pointer, so the node
         // itself stays allocated) must not chase the frozen successor: the
@@ -1446,7 +1443,7 @@ class SkipVectorMap {
   // floor chunk in the data layer, merging only empty orphans on the way.
   // Returns false -> restart. On success t is that chunk, protected by
   // t.slot, with the word its read section opened at; the caller reads or
-  // upgrades from there. Insert, remove and tower demotion write their own
+  // upgrades from there. Insert and remove_descent() write their own
   // descents: they freeze or stop on index layers and merge as mutators.
   bool locate(Ctx& ctx, K k, Trav& t) {
     t = begin_traversal(ctx);
@@ -1464,29 +1461,18 @@ class SkipVectorMap {
 
   // lookup()'s body, shared with the transaction layer's pinned read
   // (txn/lock_mgr.h). On return `at` is the data chunk that answered and
-  // the word its read validated at; at.slot still protects the chunk, and
-  // the caller drops it.
+  // the word its read validated at; at.slot still protects the chunk until
+  // the caller's OpScope ends.
   std::optional<V> lookup_at(Ctx& ctx, K k, Trav& at) {
-    sync::Backoff backoff;
-    for (;;) {
-      std::optional<V> result;
-      if (try_lookup(ctx, k, result, at)) {
-        stats::count(result ? stats::Counter::kLookupHit
-                            : stats::Counter::kLookupMiss);
-        return result;
-      }
-      ctx.drop_all();
-      stats::count(stats::Counter::kOpRestarts);
-      backoff.pause();
-    }
-  }
-
-  // On success hands back its final position: k's floor data chunk,
-  // protected, with the word the read validated at.
-  bool try_lookup(Ctx& ctx, K k, std::optional<V>& result, Trav& at) {
-    if (!locate(ctx, k, at)) return false;
-    result = as_data(at.node)->vec.get(k);
-    return at.node->lock.validate(at.ver);  // linearization point
+    std::optional<V> result;
+    retry(ctx, [&] {
+      if (!locate(ctx, k, at)) return false;
+      result = as_data(at.node)->vec.get(k);
+      return at.node->lock.validate(at.ver);  // linearization point
+    });
+    stats::count(result ? stats::Counter::kLookupHit
+                        : stats::Counter::kLookupMiss);
+    return result;
   }
 
   // ---- Insert implementation -------------------------------------------------
@@ -1496,11 +1482,6 @@ class SkipVectorMap {
     // Layers [lowest_frozen, height] are frozen by us; kMaxLayers + 1 means
     // "nothing frozen yet".
     std::uint32_t lowest_frozen = Config::kMaxLayers + 1;
-#if defined(SV_FAULT_INJECTION) && SV_FAULT_INJECTION
-    // mut-skip-freeze fired: run the data-layer write with no seqlock at
-    // all (checker-teeth testing only; see try_insert).
-    bool mut_unlocked = false;
-#endif
   };
 
   void thaw_all(InsertState& st, std::uint32_t height) {
@@ -1515,14 +1496,15 @@ class SkipVectorMap {
 
   bool try_insert(Ctx& ctx, K k, V v, std::uint32_t height, InsertState& st,
                   bool& result) {
-    const std::uint32_t top = config_.layer_count - 1;
     Trav t;
     std::uint32_t layer;
     bool resumed_at_checkpoint = false;
 
-    if (st.lowest_frozen <= height && st.lowest_frozen >= 1) {
+    if (st.lowest_frozen <= height) {
       // Checkpoint resume (Listing 3 line 14): the lowest node we froze
-      // cannot have changed; restart the descent from it.
+      // cannot have changed; restart the descent from it. It is an index
+      // chunk: a frozen data chunk goes straight to the write phase, which
+      // never restarts.
       SV_FAULT_POINT(debug::Point::kResume);
       layer = st.lowest_frozen;
       t.node = st.prevs[layer];
@@ -1530,12 +1512,9 @@ class SkipVectorMap {
       ctx.protect(t.slot, t.node);
       t.ver = t.node->lock.load_relaxed();
       resumed_at_checkpoint = true;
-    } else if (st.lowest_frozen == 0) {
-      // Data layer already frozen: go straight to the write phase.
-      return insert_write_phase(ctx, k, v, height, st, result);
     } else {
       t = begin_traversal(ctx);
-      layer = top;
+      layer = config_.layer_count - 1;
     }
 
     for (; layer >= 1; --layer) {
@@ -1559,7 +1538,6 @@ class SkipVectorMap {
         // k already present in an index layer -> the map contains k.
         if (!t.node->lock.validate(t.ver)) return false;
         thaw_all(st, height);
-        ctx.drop_all();
         result = false;
         return true;
       }
@@ -1568,50 +1546,42 @@ class SkipVectorMap {
 
     // Data layer.
     if (!traverse_right(ctx, t, k, /*mutator=*/true)) return false;
+    if (as_data(t.node)->vec.contains(k)) {
+      // Duplicate: answered by the validated read of k's floor chunk, the
+      // linearization point of a lookup that finds k. The data chunk is
+      // never frozen, and only index chunks a tall insert froze above it
+      // are thawed.
+      if (!t.node->lock.validate(t.ver)) return false;
+      thaw_all(st, height);
+      result = false;
+      return true;
+    }
     if (SV_FAULT_SHOULD_FAIL(debug::Point::kFreeze)) return false;
 #if defined(SV_FAULT_INJECTION) && SV_FAULT_INJECTION
     // Mutation site (checker-teeth testing only): when fired, skip the
-    // data-layer freeze entirely -- the write phase then mutates the chunk
-    // with NO seqlock transition, so concurrent readers validate
-    // successfully against torn mid-shift states and concurrent writers'
-    // upgrades succeed on a chunk being rewritten. Ordinary (height 0)
-    // inserts only, so index layers keep their legitimate freezes.
+    // data-layer freeze entirely and write the chunk with NO seqlock
+    // transition, so concurrent readers validate successfully against torn
+    // mid-shift states. Ordinary (height 0) inserts only, so index layers
+    // keep their legitimate freezes.
     if (height == 0 && SV_FAULT_SHOULD_FAIL(debug::Point::kMutSkipFreeze)) {
-      st.prevs[0] = t.node;
-      st.lowest_frozen = 0;
-      st.mut_unlocked = true;
-      return insert_write_phase(ctx, k, v, height, st, result);
+      mut_unlocked_insert(as_data(t.node), k, v);
+      result = true;
+      return true;
     }
 #endif
     if (!t.node->lock.try_freeze(t.ver)) return false;
     stats::count(stats::Counter::kFreezes);
     st.prevs[0] = t.node;
-    st.lowest_frozen = 0;
-    return insert_write_phase(ctx, k, v, height, st, result);
+    insert_write_phase(k, v, height, st);
+    result = true;
+    return true;
   }
 
-  bool insert_write_phase(Ctx& ctx, K k, V v, std::uint32_t height,
-                          InsertState& st, bool& result) {
-    // Everything in prevs[0..height] is frozen by us: reads below are
-    // stable, and upgrade_frozen cannot fail. This phase never restarts.
-    if (as_data(st.prevs[0])->vec.contains(k)) {
-#if defined(SV_FAULT_INJECTION) && SV_FAULT_INJECTION
-      // mut-skip-freeze froze nothing: thawing would overwrite another
-      // writer's lock word and can leave the chunk locked forever.
-      if (st.mut_unlocked) st.lowest_frozen = Config::kMaxLayers + 1;
-#endif
-      thaw_all(st, height);
-      ctx.drop_all();
-      result = false;
-      return true;
-    }
-
-    // The insert commits: reserve its version now (the data chunk is frozen
-    // by us, so the reserve-before-mutate ordering holds) and decide once
-    // whether pre-images must be preserved for registered snapshots.
-    const std::uint64_t c = version_reserve();
-    const bool preserve = snapshots_active();
-
+  // Everything in prevs[0..height] is frozen by us and k is absent: reads
+  // below are stable, and upgrade_frozen cannot fail. Never restarts.
+  void insert_write_phase(K k, V v, std::uint32_t height,
+                          const InsertState& st) {
+    ChunkCommit commit(*this);
     // Build new nodes bottom-up for layers [0, height), each containing k
     // plus every element of prevs[layer] greater than k (Listing 3 32-39).
     NodeBase* below = nullptr;
@@ -1620,14 +1590,12 @@ class SkipVectorMap {
       prev->lock.upgrade_frozen();
       NodeBase* fresh;
       if (layer == 0) {
-        if (preserve) push_preimage(prev);
+        commit.write(prev);
         auto* dn = alloc_split_node<DataNode, V>(as_data(prev)->vec, k,
                                                  config_.data_capacity(), 0);
         as_data(prev)->vec.steal_greater(k, dn->vec);
         dn->vec.insert(k, v);
-        if (preserve) fold_split(prev, dn, k);
-        dn->mod_version.store(c, std::memory_order_relaxed);
-        prev->mod_version.store(c, std::memory_order_release);
+        commit.split(prev, dn, k);
         fresh = dn;
       } else {
         auto* in = alloc_split_node<IndexNode, NodeBase*>(
@@ -1648,51 +1616,40 @@ class SkipVectorMap {
       below = fresh;
     }
 
-    // At the chosen height, k joins an existing chunk (lines 40-42),
-    // splitting it at capacity first (creating an orphan, Fig. 3d).
+    // At the chosen height, k joins an existing chunk (lines 40-42).
     NodeBase* prev = st.prevs[height];
-#if defined(SV_FAULT_INJECTION) && SV_FAULT_INJECTION
-    if (st.mut_unlocked) {
-      // mut-skip-freeze (see try_insert): replay the split's element
-      // migration with NO lock transition at all. The chunk's upper half
-      // is erased, invisible for the duration of the nested point
-      // (pyield@/pdelay@mut-skip-freeze widen the window), then restored
-      // -- concurrent readers validate successfully against precisely the
-      // intermediate state the freeze protocol exists to hide. Everything
-      // is an in-place atomic slot write: no next-pointer edits, no
-      // allocation, no retirement, so the injected bug is purely a
-      // linearizability violation, never a memory-safety one.
-      auto* dn = as_data(prev);
-      std::vector<std::pair<K, V>> all;
-      dn->vec.for_each([&](K dk, V dv) { all.emplace_back(dk, dv); });
-      std::sort(all.begin(), all.end());
-      std::vector<std::pair<K, V>> hidden(all.begin() + (all.size() + 1) / 2,
-                                          all.end());
-      for (const auto& [hk, hv] : hidden) dn->vec.erase(hk);
-      SV_FAULT_POINT(debug::Point::kMutSkipFreeze);
-      for (const auto& [hk, hv] : hidden) dn->vec.insert(hk, hv);
-      dn->vec.insert(k, v);  // best effort: a full chunk drops the insert
-      st.lowest_frozen = Config::kMaxLayers + 1;
-      st.mut_unlocked = false;
-      ctx.drop_all();
-      result = true;
-      return true;
-    }
-#endif
     prev->lock.upgrade_frozen();
     if (height == 0) {
-      if (preserve) push_preimage(prev);
-      insert_at_top<DataNode, V>(as_data(prev), k, v, c, preserve);
-      prev->mod_version.store(c, std::memory_order_release);
+      commit.write(prev);
+      insert_at_top(as_data(prev), k, v, commit);
     } else {
-      insert_at_top<IndexNode, NodeBase*>(as_index(prev), k, below);
+      insert_at_top(as_index(prev), k, below, commit);
     }
     prev->lock.release();
-    st.lowest_frozen = Config::kMaxLayers + 1;
-    ctx.drop_all();
-    result = true;
-    return true;
   }
+
+#if defined(SV_FAULT_INJECTION) && SV_FAULT_INJECTION
+  // mut-skip-freeze (see try_insert): replay a split's element migration
+  // with NO lock transition at all. The chunk's upper half is erased,
+  // invisible for the duration of the nested point (pyield@/pdelay@
+  // mut-skip-freeze widen the window), then restored -- concurrent readers
+  // validate successfully against precisely the intermediate state the
+  // freeze protocol exists to hide. Everything is an in-place atomic slot
+  // write: no next-pointer edits, no allocation, no retirement, so the
+  // injected bug is purely a linearizability violation, never a
+  // memory-safety one.
+  void mut_unlocked_insert(DataNode* dn, K k, V v) {
+    std::vector<std::pair<K, V>> all;
+    dn->vec.for_each([&](K dk, V dv) { all.emplace_back(dk, dv); });
+    std::sort(all.begin(), all.end());
+    std::vector<std::pair<K, V>> hidden(all.begin() + (all.size() + 1) / 2,
+                                        all.end());
+    for (const auto& [hk, hv] : hidden) dn->vec.erase(hk);
+    SV_FAULT_POINT(debug::Point::kMutSkipFreeze);
+    for (const auto& [hk, hv] : hidden) dn->vec.insert(hk, hv);
+    dn->vec.insert(k, v);  // best effort: a full chunk drops the insert
+  }
+#endif
 
   // Allocate the right-hand node for a split at key k. Normally the layer's
   // configured capacity suffices; when the donor is a head whose every
@@ -1708,103 +1665,72 @@ class SkipVectorMap {
                                    /*orphan=*/false);
   }
 
-  template <class NodeType, class P>
-  void insert_at_top(NodeType* node, K k, P payload,
-                     std::uint64_t commit_ver = 0, bool preserve = false) {
-    if (node->vec.full()) {
-      // Capacity split: the new right sibling is an orphan (no parent entry
-      // exists for it; a later merge may fold it back, Fig. 3d) with the
-      // donor's capacity. The sibling must be fully written *before* it is
-      // published via next -- it has no lock protection against
-      // speculative readers until then.
-      auto* sib = alloc_node<NodeType, P>(node->capacity, nullptr, node->layer,
-                                          /*head=*/false, /*orphan=*/true);
-      stats::count(stats::Counter::kCapacitySplits);
-      const K sib_min = node->vec.split_half(sib->vec);
-      const bool goes_right = k >= sib_min;
-      if (goes_right) {
-        const bool ok = sib->vec.insert(k, payload);
-        assert(ok);
-        (void)ok;
-      }
-      if constexpr (std::is_same_v<NodeType, DataNode>) {
-        // Data-layer split: re-partition the version chain across the new
-        // boundary and stamp the sibling before it becomes reachable.
-        if (preserve) fold_split(node, sib, sib_min);
-        sib->mod_version.store(commit_ver, std::memory_order_relaxed);
-      }
-      sib->next.store(node->next.load(std::memory_order_relaxed),
-                      std::memory_order_relaxed);
-      SV_FAULT_POINT(debug::Point::kSplit);  // orphan built, not yet published
-      node->next.store(sib, std::memory_order_release);
-      if (goes_right) return;
+  // Capacity split (Fig. 3d), shared by insert and batch commits: moves the
+  // upper half of full chunk n into a new right sibling with n's capacity.
+  // The sibling is an orphan (no parent entry exists for it; a later merge
+  // may fold it back); a data sibling takes its part of n's version chain
+  // and the commit's stamp. It is linked to n's successor but NOT
+  // published: nothing guards it from speculative readers until the caller
+  // stores it into n->next, so the caller writes it completely first (or,
+  // a batch, locks it first). Returns the sibling; sib_min is its minimum.
+  template <class P>
+  NodeT<P>* split_full(NodeT<P>* n, ChunkCommit& commit, K& sib_min) {
+    auto* sib = alloc_node<NodeT<P>, P>(n->capacity, nullptr, n->layer,
+                                        /*head=*/false, /*orphan=*/true);
+    stats::count(stats::Counter::kCapacitySplits);
+    sib_min = n->vec.split_half(sib->vec);
+    if constexpr (std::is_same_v<NodeT<P>, DataNode>) {
+      commit.split(n, sib, sib_min);
     }
-    const bool ok = node->vec.insert(k, payload);
+    sib->next.store(n->next.load(std::memory_order_relaxed),
+                    std::memory_order_relaxed);
+    SV_FAULT_POINT(debug::Point::kSplit);  // orphan built, not yet published
+    return sib;
+  }
+
+  // k joins write-locked chunk n, splitting it at capacity first.
+  template <class P>
+  void insert_at_top(NodeT<P>* n, K k, P payload, ChunkCommit& commit) {
+    K sib_min{};
+    NodeT<P>* sib = n->vec.full() ? split_full(n, commit, sib_min) : nullptr;
+    NodeT<P>* dst = (sib != nullptr && !(k < sib_min)) ? sib : n;
+    const bool ok = dst->vec.insert(k, payload);
     assert(ok);
     (void)ok;
+    if (sib != nullptr) n->next.store(sib, std::memory_order_release);
   }
 
   // ---- Remove implementation -------------------------------------------------
 
-  bool try_remove(Ctx& ctx, K k, bool& result) {
-    Trav t = begin_traversal(ctx);
-    bool found_in_index = false;
-
+  // Remove's descent (Listing 4), shared with tower demotion: from the top
+  // head down to the data layer, merging as a mutator. Returns false ->
+  // restart. If k sits in an index layer, its tower is unlinked top-down
+  // (lines 37-44): k is erased from each index layer and the chunk below
+  // is orphaned, with locks held pairwise; every node below is reachable
+  // only through locked ancestors, so hazard pointers are unnecessary
+  // there. *tower is then k's data chunk, write-locked. Otherwise *tower
+  // is nullptr and t is the first data chunk the descent reached.
+  bool remove_descent(Ctx& ctx, K k, Trav& t, NodeBase** tower) {
+    *tower = nullptr;
+    t = begin_traversal(ctx);
     while (t.node->layer > 0) {
       if (!traverse_right(ctx, t, k, /*mutator=*/true)) return false;
       NodeBase* down = nullptr;
       bool exact = false;
       if (!index_down(t, k, &down, &exact)) return false;
-      if (exact) {
-        // k lives in this index layer. If k is the minimum of a non-orphan,
-        // non-head node, k must also exist one layer up -- but we did not
-        // see it there, so a concurrent Insert is mid-flight (Listing 4
-        // line 13): restart. Heads are exempt (conceptual minimum -inf).
-        if (!t.node->is_head && !Lock::is_orphan(t.ver) &&
-            node_min_key(t.node) == k) {
-          return false;
-        }
-        if (!t.node->lock.try_upgrade(t.ver)) return false;
-        found_in_index = true;
-        break;
-      }
+      if (exact) break;
       if (!exchange_down(ctx, t, down)) return false;
     }
-
-    if (!found_in_index) {
-      // Common case: k is in no index layer (lines 23-34).
-      if (!traverse_right(ctx, t, k, /*mutator=*/true)) return false;
-      if (!t.node->is_head && !Lock::is_orphan(t.ver) &&
-          node_size(t.node) > 0 && node_min_key(t.node) == k) {
-        return false;  // racing Insert placed k here with height > 0
-      }
-      if (!t.node->lock.try_upgrade(t.ver)) return false;
-#if defined(SV_FAULT_INJECTION) && SV_FAULT_INJECTION
-      // Mutation site (checker-teeth testing only): when fired, release the
-      // seqlock BEFORE performing the erase. The release bumps the version,
-      // so speculative readers of this chunk validate successfully against
-      // the torn mid-erase element set.
-      if (SV_FAULT_SHOULD_FAIL(debug::Point::kMutEarlyRelease)) {
-        t.node->lock.release();
-        std::this_thread::yield();  // widen the torn window
-        result = as_data(t.node)->vec.erase(k);
-        ctx.drop_all();
-        return true;
-      }
-#endif
-      const std::uint64_t c = version_reserve();
-      if (snapshots_active()) push_preimage(t.node);
-      result = as_data(t.node)->vec.erase(k);
-      if (result) t.node->mod_version.store(c, std::memory_order_release);
-      t.node->lock.release();
-      ctx.drop_all();
-      return true;
+    if (t.node->layer == 0) return true;
+    // k lives in this index layer. If k is the minimum of a non-orphan,
+    // non-head node, k must also exist one layer up -- but we did not see
+    // it there, so a concurrent Insert is mid-flight (Listing 4 line 13):
+    // restart. Heads are exempt (conceptual minimum -inf).
+    if (!t.node->is_head && !Lock::is_orphan(t.ver) &&
+        node_min_key(t.node) == k) {
+      return false;
     }
-
-    // k found in an index layer: walk the down pointers, removing k from
-    // each layer and orphaning the node below (lines 37-44). Locks are held
-    // top-down pairwise; every node below is reachable only through locked
-    // ancestors, so hazard pointers are unnecessary here.
+    if (!t.node->lock.try_upgrade(t.ver)) return false;
     NodeBase* curr = t.node;
     while (curr->layer > 0) {
       NodeBase* down = nullptr;
@@ -1821,14 +1747,47 @@ class SkipVectorMap {
       curr->lock.release();
       curr = down;
     }
-    const std::uint64_t c = version_reserve();
-    if (snapshots_active()) push_preimage(curr);
-    const bool erased = as_data(curr)->vec.erase(k);
-    assert(erased);
-    if (erased) curr->mod_version.store(c, std::memory_order_release);
-    curr->lock.release();
-    ctx.drop_all();
-    result = true;
+    *tower = curr;
+    return true;
+  }
+
+  bool try_remove(Ctx& ctx, K k, bool& result) {
+    Trav t;
+    NodeBase* chunk = nullptr;
+    if (!remove_descent(ctx, k, t, &chunk)) return false;
+    if (chunk == nullptr) {
+      // Common case: k is in no index layer (lines 23-34).
+      if (!traverse_right(ctx, t, k, /*mutator=*/true)) return false;
+      if (!as_data(t.node)->vec.contains(k)) {
+        // Miss: answered by the validated read, as lookup answers it.
+        result = false;
+        return t.node->lock.validate(t.ver);
+      }
+      if (!t.node->is_head && !Lock::is_orphan(t.ver) &&
+          node_min_key(t.node) == k) {
+        return false;  // racing Insert placed k here with height > 0
+      }
+      if (!t.node->lock.try_upgrade(t.ver)) return false;
+#if defined(SV_FAULT_INJECTION) && SV_FAULT_INJECTION
+      // Mutation site (checker-teeth testing only): when fired, release the
+      // seqlock BEFORE performing the erase. The release bumps the version,
+      // so speculative readers of this chunk validate successfully against
+      // the torn mid-erase element set.
+      if (SV_FAULT_SHOULD_FAIL(debug::Point::kMutEarlyRelease)) {
+        t.node->lock.release();
+        std::this_thread::yield();  // widen the torn window
+        result = as_data(t.node)->vec.erase(k);
+        return true;
+      }
+#endif
+      chunk = t.node;
+    }
+    // k is present: under the lock, from the word the read saw it at, or
+    // found in an index layer above.
+    ChunkCommit(*this).write(chunk);
+    result = as_data(chunk)->vec.erase(k);
+    assert(result);
+    chunk->lock.release();
     return true;
   }
 
@@ -1837,13 +1796,16 @@ class SkipVectorMap {
   bool try_update(Ctx& ctx, K k, V v, bool& result) {
     Trav t;
     if (!locate(ctx, k, t)) return false;
+    if (!as_data(t.node)->vec.contains(k)) {
+      // Miss: answered by the validated read, as lookup answers it.
+      result = false;
+      return t.node->lock.validate(t.ver);
+    }
     if (!t.node->lock.try_upgrade(t.ver)) return false;
-    const std::uint64_t c = version_reserve();
-    if (snapshots_active()) push_preimage(t.node);
+    ChunkCommit(*this).write(t.node);
     result = as_data(t.node)->vec.assign(k, v);
-    if (result) t.node->mod_version.store(c, std::memory_order_release);
+    assert(result);
     t.node->lock.release();
-    ctx.drop_all();
     return true;
   }
 
@@ -1858,14 +1820,7 @@ class SkipVectorMap {
     if (!fle.found && !t.node->is_head) return false;  // torn speculation
     if (!t.node->lock.validate(t.ver)) return false;
     out = fle.found ? Entry(std::in_place, fle.key, fle.val) : std::nullopt;
-    ctx.drop_all();
     return true;
-  }
-
-  bool try_ceiling(Ctx& ctx, K k, Entry& out) {
-    Trav t;
-    if (!locate(ctx, k, t)) return false;
-    return try_scan_forward(ctx, t, k, /*use_k=*/true, out);
   }
 
   // From data node t, find the smallest entry (with key >= k when use_k)
@@ -1877,14 +1832,12 @@ class SkipVectorMap {
       if (e.found) {
         if (!t.node->lock.validate(t.ver)) return false;
         out = Entry(std::in_place, e.key, e.val);
-        ctx.drop_all();
         return true;
       }
       NodeBase* next = t.node->next.load(std::memory_order_acquire);
       if (next == nullptr) {
         if (!t.node->lock.validate(t.ver)) return false;
         out = std::nullopt;
-        ctx.drop_all();
         return true;
       }
       prefetch_chunk(next, 0);
@@ -1943,7 +1896,6 @@ class SkipVectorMap {
         const auto me = as_data(t.node)->vec.max_entry();
         if (!t.node->lock.validate(t.ver)) return false;
         out = me.found ? Entry(std::in_place, me.key, me.val) : std::nullopt;
-        ctx.drop_all();
         return true;
       }
       const auto me = as_index(t.node)->vec.max_entry();
@@ -1994,21 +1946,13 @@ class SkipVectorMap {
   // Returns the total number of mappings visited.
   template <class Body>
   std::size_t range_locked(K lo, K hi, bool mutating, Body&& body) {
-    stats::Scope stats_scope(stats_);
-    Ctx ctx = reclaimer_.thread_ctx();
-    OpGuard op_scope(ctx);
-    sync::Backoff backoff;
-    for (;;) {
-      std::size_t visited = 0;
-      if (try_range(ctx, lo, hi, mutating, body, visited)) {
-        stats::count(stats::Counter::kRangeOps);
-        if (visited > 0) stats::count(stats::Counter::kRangeKeysVisited, visited);
-        return visited;
-      }
-      ctx.drop_all();
-      stats::count(stats::Counter::kOpRestarts);
-      backoff.pause();
-    }
+    OpScope op(*this);
+    std::size_t visited = 0;
+    retry(op.ctx,
+          [&] { return try_range(op.ctx, lo, hi, mutating, body, visited); });
+    stats::count(stats::Counter::kRangeOps);
+    if (visited > 0) stats::count(stats::Counter::kRangeKeysVisited, visited);
+    return visited;
   }
 
   template <class Body>
@@ -2044,14 +1988,12 @@ class SkipVectorMap {
       if (node_size(next) > 0 && node_max_key(next) > hi) break;
     }
     if (mutating) {
-      // One commit version covers the whole locked range: the transform is
-      // a single atomic state change to snapshot readers.
-      const std::uint64_t c = version_reserve();
-      const bool preserve = snapshots_active();
+      // One commit covers the whole locked range: the transform is a single
+      // atomic state change to snapshot readers.
+      ChunkCommit commit(*this);
       for (NodeBase* n : locked) {
-        if (preserve) push_preimage(n);
+        commit.write(n);
         visited += body(as_data(n));
-        n->mod_version.store(c, std::memory_order_release);
       }
     } else {
       for (NodeBase* n : locked) visited += body(as_data(n));
@@ -2071,17 +2013,13 @@ class SkipVectorMap {
 
   static constexpr std::size_t kMaxChainLength = 8;
 
-  // Reserve the next commit version. Callers hold the write locks of every
-  // chunk they will mutate BEFORE reserving, push pre-images after
-  // reserving and before the first mutation, and store mod_version = c
-  // before releasing. The reserve-then-check-registry order pairs with the
-  // registry's claim-then-load order (mvcc::SnapshotRegistry) so a writer
-  // never misses a reader it must preserve state for.
+  // Reserve the next commit version (ChunkCommit only). The
+  // reserve-then-check-registry order pairs with the registry's
+  // claim-then-load order (mvcc::SnapshotRegistry) so a writer never misses
+  // a reader it must preserve state for.
   std::uint64_t version_reserve() noexcept {
     return commit_version_.fetch_add(1, std::memory_order_seq_cst) + 1;
   }
-
-  bool snapshots_active() const noexcept { return snaps_.active() != 0; }
 
   // Record the chunk's current live contents at its current mod_version
   // (callers hold the chunk's write lock and have already reserved a newer
@@ -2433,24 +2371,22 @@ class SkipVectorMap {
 
   // ---- Batch implementation --------------------------------------------------
   //
-  // The NO_WAIT 2PL engine that used to live here inline -- covers(),
-  // lock_floor_descent(), lock_floor_from(), try_apply_batch() -- moved to
-  // the shared transaction layer (txn/lock_mgr.h, reached through the
-  // sv::txn::MapAccess friend). What remains below are the map-side
-  // mutation primitives the lock manager drives: apply_chunk_ops (absorb a
-  // locked chunk's sorted op run, splitting at capacity) and the tower
-  // demote used when a batch removes a towered key.
+  // The NO_WAIT 2PL engine lives in the shared transaction layer
+  // (txn/lock_mgr.h, reached through the sv::txn::MapAccess friend). What
+  // remains below are the map-side mutation primitives the lock manager
+  // drives: apply_chunk_ops (absorb a locked chunk's sorted op run,
+  // splitting at capacity) and the tower demote used when a batch removes a
+  // towered key.
 
-  // Apply staged ops [begin, end) (ascending keys) to one locked chunk,
-  // splitting at capacity into locked orphan siblings that are appended to
-  // `locked` for the final release. Pieces' mod_version is stamped with the
-  // batch's commit version.
-  void apply_chunk_ops(NodeBase* chunk, BatchOp* ops,
+  // Apply staged ops [begin, end) (ascending keys) to one locked chunk
+  // through the batch's commit, splitting at capacity into locked orphan
+  // siblings that are appended to `locked` for the final release.
+  void apply_chunk_ops(ChunkCommit& commit, NodeBase* chunk, BatchOp* ops,
                        const std::vector<std::uint32_t>& order,
-                       std::size_t begin, std::size_t end, std::uint64_t c,
-                       bool preserve, std::vector<NodeBase*>& locked,
-                       std::size_t& applied, std::int64_t& delta) {
-    if (preserve) push_preimage(chunk);
+                       std::size_t begin, std::size_t end,
+                       std::vector<NodeBase*>& locked, std::size_t& applied,
+                       std::int64_t& delta) {
+    commit.write(chunk);
     std::vector<NodeBase*> pieces{chunk};
     std::vector<K> mins{K{}};  // mins[0] unused (chunk covers leftward)
     std::size_t pi = 0;
@@ -2471,18 +2407,11 @@ class SkipVectorMap {
         continue;
       }
       if (p->vec.full()) {
-        // Capacity split under our lock: the sibling is born locked (it is
-        // mutated until the batch commits) and orphan (no parent entry),
-        // with the donor's capacity, like insert_at_top's split.
-        auto* sib = alloc_node<DataNode, V>(p->capacity, nullptr, 0,
-                                            /*head=*/false, /*orphan=*/true);
+        // The sibling is mutated until the batch commits: lock it before
+        // publishing it.
+        K sib_min{};
+        DataNode* sib = split_full(p, commit, sib_min);
         sib->lock.acquire();  // fresh node: uncontended
-        stats::count(stats::Counter::kCapacitySplits);
-        const K sib_min = p->vec.split_half(sib->vec);
-        if (preserve) fold_split(p, sib, sib_min);
-        sib->next.store(p->next.load(std::memory_order_relaxed),
-                        std::memory_order_relaxed);
-        SV_FAULT_POINT(debug::Point::kSplit);
         p->next.store(sib, std::memory_order_release);
         locked.push_back(sib);
         pieces.insert(pieces.begin() + static_cast<std::ptrdiff_t>(pi) + 1,
@@ -2501,60 +2430,21 @@ class SkipVectorMap {
       ++applied;
       ++delta;
     }
-    for (NodeBase* piece : pieces) {
-      piece->mod_version.store(c, std::memory_order_release);
-    }
   }
 
-  // Demote key k's tower: erase k from every index layer and orphan the
-  // chunks below -- try_remove's index path minus the final data-layer
-  // erase, so k itself stays present. Benign structurally: lookups descend
-  // to k's chunk through the left neighbor's entry and find k by the
-  // rightward walk. Called with no chunk locks held.
+  // Demote key k's tower: remove's descent and tower unlink, minus the
+  // final data-layer erase, so k itself stays present. Benign structurally:
+  // lookups descend to k's chunk through the left neighbor's entry and find
+  // k by the rightward walk. Called with no chunk locks held.
   void demote_tower(Ctx& ctx, K k) {
-    sync::Backoff backoff;
-    for (;;) {
-      if (try_demote_tower(ctx, k)) return;
+    retry(ctx, [&] {
+      Trav t;
+      NodeBase* chunk = nullptr;
+      if (!remove_descent(ctx, k, t, &chunk)) return false;
+      if (chunk != nullptr) chunk->lock.release();  // k stays in place
       ctx.drop_all();
-      stats::count(stats::Counter::kOpRestarts);
-      backoff.pause();
-    }
-  }
-
-  bool try_demote_tower(Ctx& ctx, K k) {
-    Trav t = begin_traversal(ctx);
-    while (t.node->layer > 0) {
-      if (!traverse_right(ctx, t, k, /*mutator=*/true)) return false;
-      NodeBase* down = nullptr;
-      bool exact = false;
-      if (!index_down(t, k, &down, &exact)) return false;
-      if (exact) {
-        if (!t.node->is_head && !Lock::is_orphan(t.ver) &&
-            node_min_key(t.node) == k) {
-          return false;  // k should also exist a layer up: racing insert
-        }
-        if (!t.node->lock.try_upgrade(t.ver)) return false;
-        NodeBase* curr = t.node;
-        while (curr->layer > 0) {
-          NodeBase* below = nullptr;
-          const bool erased = as_index(curr)->vec.erase(k, &below);
-          if (!erased || below == nullptr) {
-            curr->lock.release();
-            return false;  // defensive: invariant says unreachable
-          }
-          below->lock.acquire();
-          below->lock.set_orphan_locked(true);
-          curr->lock.release();
-          curr = below;
-        }
-        curr->lock.release();  // data chunk: k stays in place
-        ctx.drop_all();
-        return true;
-      }
-      if (!exchange_down(ctx, t, down)) return false;
-    }
-    ctx.drop_all();  // k is in no index layer: nothing to demote
-    return true;
+      return true;
+    });
   }
 
   // ---- Members ----------------------------------------------------------------

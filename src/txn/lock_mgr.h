@@ -19,10 +19,10 @@
 //     seek path, or a locked or frozen floor chunk, aborts the pass.
 //   - Validation: the other optimistic reads (Txn's read set) are re-read
 //     in the locked chunks; a mismatch aborts before anything mutates.
-//   - Commit: ONE commit version is reserved for the whole write set;
-//     pre-images are staged iff snapshots are pinned; each chunk absorbs its
-//     ops; every touched piece is stamped with the commit version; locks
-//     release in reverse order (shrinking phase).
+//   - Commit: the whole write set goes through ONE of the map's chunk
+//     commits (one commit version; pre-images staged iff snapshots are
+//     pinned; every touched piece stamped); each chunk absorbs its ops;
+//     locks release in reverse order (shrinking phase).
 //   - Abort: locks release in reverse, nothing was mutated (mutations are
 //     deferred to the commit step), the caller backs off and retries.
 //
@@ -74,6 +74,11 @@ struct MapAccess {
   using Op = typename Map::BatchOp;
   using Lock = typename Map::Lock;
   using Word = typename Map::Word;
+  // The map's operation scope and chunk-commit type (core/skip_vector.h):
+  // every transaction-layer operation runs in one OpScope, and a commit
+  // pass writes through one Commit.
+  using OpScope = typename Map::OpScope;
+  using Commit = typename Map::ChunkCommit;
 
   // ---- Chunk inspection (callable only under the chunk's write lock or
   // with the chunk otherwise pinned) ---------------------------------------
@@ -100,17 +105,15 @@ struct MapAccess {
 
   // Txn::get's read: lookup()'s body, which also reports the data chunk
   // that answered and the word its read validated at. The chunk is copied
-  // into pin slot `pin` while its traversal slot still protects it, so it
-  // stays allocated, and its word safe to compare, until the Txn releases
-  // its pins.
+  // into pin slot `pin` while its traversal slot still protects it (until
+  // the OpScope ends), so it stays allocated, and its word safe to compare,
+  // until the Txn releases its pins.
   static std::optional<V> lookup_pinned(Map& m, Ctx& ctx, K k, int pin,
                                         Node** chunk, Word* word) {
-    stats::Scope stats_scope(m.stats_);
-    typename Map::OpGuard op_scope(ctx);
+    OpScope op(m, ctx);
     Trav at;
-    std::optional<V> v = m.lookup_at(ctx, k, at);
-    ctx.pin(pin, at.node);
-    ctx.drop_all();
+    std::optional<V> v = m.lookup_at(op.ctx, k, at);
+    op.ctx.pin(pin, at.node);
     *chunk = at.node;
     *word = at.ver;
     return v;
@@ -290,16 +293,13 @@ struct MapAccess {
 
   // ---- Commit-path map primitives ----------------------------------------
 
-  static std::uint64_t version_reserve(Map& m) { return m.version_reserve(); }
-  static bool snapshots_active(Map& m) { return m.snapshots_active(); }
-  static void apply_chunk_ops(Map& m, Node* chunk, Op* ops,
+  static void apply_chunk_ops(Map& m, Commit& commit, Node* chunk, Op* ops,
                               const std::vector<std::uint32_t>& order,
                               std::size_t begin, std::size_t end,
-                              std::uint64_t c, bool preserve,
                               std::vector<Node*>& locked, std::size_t& applied,
                               std::int64_t& delta) {
-    m.apply_chunk_ops(chunk, ops, order, begin, end, c, preserve, locked,
-                      applied, delta);
+    m.apply_chunk_ops(commit, chunk, ops, order, begin, end, locked, applied,
+                      delta);
   }
   static void demote_tower(Map& m, Ctx& ctx, K k) { m.demote_tower(ctx, k); }
 
@@ -309,25 +309,6 @@ struct MapAccess {
   static void note_size_delta(Map& m, std::int64_t delta) noexcept {
     if (delta != 0) m.approx_size_.fetch_add(delta, std::memory_order_relaxed);
   }
-};
-
-// Pins the calling thread's reclamation epoch for the duration of a
-// transaction-layer operation (the Txn equivalent of the map's internal
-// OpGuard).
-template <class Map>
-class OpScope {
- public:
-  explicit OpScope(Map& m) : ctx_(MapAccess<Map>::thread_ctx(m)) {
-    ctx_.begin_op();
-  }
-  ~OpScope() { ctx_.end_op(); }
-  OpScope(const OpScope&) = delete;
-  OpScope& operator=(const OpScope&) = delete;
-
-  typename MapAccess<Map>::Ctx& ctx() noexcept { return ctx_; }
-
- private:
-  typename MapAccess<Map>::Ctx ctx_;
 };
 
 // Owned set of write-locked chunks of one map: the RAII "lock set" of the
@@ -555,22 +536,20 @@ struct LockMgr {
       if (!still_holds) return fail(PassStatus::kValidationFail);
     }
 
-    // Phase 2: commit. All floor chunks are locked; reserve ONE commit
-    // version, then stage pre-images and apply per chunk. Speculative
+    // Phase 2: commit. All floor chunks are locked; ONE commit covers the
+    // write set, and each chunk absorbs its ops through it. Speculative
     // readers cannot validate against any touched chunk until its release,
     // and versioned readers at v < c use the pre-images -- so the whole
     // write set is atomic. Read-only chunks are neither stamped nor
     // pre-imaged: their contents do not change.
     if (n_ops > 0) {
       SV_FAULT_POINT(debug::Point::kBatchCommit);
-      const std::uint64_t c = MA::version_reserve(m);
-      const bool preserve = MA::snapshots_active(m);
+      typename MA::Commit commit(m);
       const std::size_t n_chunks = runs.size();  // splits append past this
       for (std::size_t ci = 0; ci < n_chunks; ++ci) {
         if (runs[ci].first == kNoRun) continue;
-        MA::apply_chunk_ops(m, locked[ci], ops, order, runs[ci].first,
-                            runs[ci].second, c, preserve, locked, res.applied,
-                            res.delta);
+        MA::apply_chunk_ops(m, commit, locked[ci], ops, order, runs[ci].first,
+                            runs[ci].second, locked, res.applied, res.delta);
       }
     }
     locks.release_all();

@@ -14,7 +14,7 @@
 //     lock manager (txn/lock_mgr.h): floor chunks are locked ascending
 //     (NO_WAIT), the read set is re-validated under those locks, then the
 //     whole write set is applied at ONE reserved commit version through the
-//     existing MVCC reserve -> pre-image -> mutate -> stamp path. The
+//     map's chunk commit (reserve -> pre-image -> stamp -> mutate). The
 //     result is serializable: every committed transaction behaves as if all
 //     its reads and writes happened at its commit point, which is also the
 //     single linearization point the WGL checker extension assumes
@@ -245,7 +245,7 @@ class Txn {
 
  private:
   TxnResult commit_pass() {
-    stats::Scope stats_scope(map_->stats_registry());
+    typename MapAccess<Map>::OpScope op(*map_);
     active_ = false;
     if (writes_.empty() && reads_.empty()) {
       stats::count(stats::Counter::kTxnCommits);
@@ -268,11 +268,10 @@ class Txn {
               [](const ReadEntry& a, const ReadEntry& b) {
                 return a.key < b.key;
               });
-    OpScope<Map> op_scope(*map_);
     sync::Backoff backoff;
     for (;;) {
-      const auto r = LockMgr<Map>::try_commit(*map_, op_scope.ctx(),
-                                              ops.data(), order, reads_);
+      const auto r =
+          LockMgr<Map>::try_commit(*map_, op.ctx, ops.data(), order, reads_);
       switch (r.status) {
         case PassStatus::kCommitted:
           for (std::size_t i = 0; i < writes_.size(); ++i) {
@@ -285,7 +284,7 @@ class Txn {
           // Benign structural fix (the key stays present): demote and
           // retry the pass -- reads re-validate on the next pass, so no
           // re-execution is needed.
-          MapAccess<Map>::demote_tower(*map_, op_scope.ctx(), r.demote_key);
+          MapAccess<Map>::demote_tower(*map_, op.ctx, r.demote_key);
           backoff.pause();
           continue;
         case PassStatus::kLockConflict:

@@ -209,6 +209,28 @@ TEST_F(FaultInjectionTest, AuditReportTruncatesAtCap) {
   EXPECT_TRUE(rep.truncated);
 }
 
+// A tall insert of a key present at height 0 freezes the index chunks on
+// its path before it finds k in the data layer: it must thaw exactly what
+// it froze, so no lock word stays frozen and k's neighbours stay writable.
+TEST_F(FaultInjectionTest, TallDuplicateInsertThawsWhatItFroze) {
+  Map m(Small());
+  BuildLayered(m);
+  const stats::Snapshot before = m.stats_registry().snapshot();
+  EXPECT_FALSE(m.insert_with_height(50, 51, 2));
+  const stats::Snapshot d = m.stats_registry().snapshot() - before;
+  if (stats::kEnabled) {
+    EXPECT_EQ(d[stats::Counter::kFreezes], 2u);
+    EXPECT_EQ(d[stats::Counter::kThaws], d[stats::Counter::kFreezes]);
+  }
+  const auto rep = m.validate_structure();
+  EXPECT_FALSE(rep.has(AuditCode::kLockedWhileQuiescent)) << rep.to_string();
+  EXPECT_TRUE(rep.ok()) << rep.to_string();
+  EXPECT_EQ(m.lookup(50), std::optional<std::uint64_t>(50));
+  EXPECT_TRUE(m.insert_with_height(49, 49, 0));
+  EXPECT_TRUE(m.insert_with_height(51, 51, 2));
+  EXPECT_TRUE(m.validate_structure().ok());
+}
+
 // ---- Deterministic checkpoint-resume replay --------------------------------
 
 // An injected freeze failure at the second freeze of a height-2 insert forces

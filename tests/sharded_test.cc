@@ -30,6 +30,38 @@ TEST(Sharded, RejectsBadParameters) {
   EXPECT_THROW(M(100, 0), std::invalid_argument);
 }
 
+// The last shard owns every key from (n-1) * span up, as point ops route
+// them: a key at or above key_space must show in ranges, transforms and
+// snapshots as it does in lookup and for_each.
+TEST(Sharded, KeysPastKeySpaceStayInRanges) {
+  ShardedSkipVector<std::uint64_t, std::uint64_t> m(1000, 4, Tiny());
+  ASSERT_TRUE(m.insert(5000, 50));
+  ASSERT_TRUE(m.insert(10, 1));
+  ASSERT_EQ(m.lookup(5000), std::optional<std::uint64_t>(50));
+  std::size_t each = 0;
+  m.for_each([&](std::uint64_t, std::uint64_t) { ++each; });
+  EXPECT_EQ(each, 2u);
+
+  std::vector<std::uint64_t> seen;
+  EXPECT_EQ(m.range_for_each(0, 10000,
+                             [&](std::uint64_t k, std::uint64_t) {
+                               seen.push_back(k);
+                             }),
+            2u);
+  EXPECT_EQ(seen, (std::vector<std::uint64_t>{10, 5000}));
+  EXPECT_EQ(m.range_for_each(4000, 6000, [](std::uint64_t, std::uint64_t) {}),
+            1u);
+  EXPECT_EQ(m.range_transform(0, 10000,
+                              [](std::uint64_t, std::uint64_t v) {
+                                return v + 1;
+                              }),
+            2u);
+  EXPECT_EQ(m.lookup(5000), std::optional<std::uint64_t>(51));
+  const auto snap = m.snapshot(0, ~std::uint64_t{0});
+  ASSERT_EQ(snap.size(), 2u);
+  EXPECT_EQ(snap.back(), (std::pair<std::uint64_t, std::uint64_t>{5000, 51}));
+}
+
 TEST(Sharded, OracleModelCheck) {
   constexpr std::uint64_t kSpace = 1000;
   ShardedSkipVector<std::uint64_t, std::uint64_t> m(kSpace, 7, Tiny());

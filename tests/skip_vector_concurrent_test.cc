@@ -719,22 +719,21 @@ TEST(SkipVectorConcurrent, RangeWaitsForSuccessorMidCommit) {
 
     MA::Node* orphan = nullptr;
     {
-      txn::OpScope<MapHP> scope(m);
-      ASSERT_EQ(MA::lock_floor_descent(m, scope.ctx(), {}, 282, &orphan),
+      MA::OpScope scope(m);
+      ASSERT_EQ(MA::lock_floor_descent(m, scope.ctx, {}, 282, &orphan),
                 MA::Seek::kLocked);
-      scope.ctx().drop_all();
     }
     ASSERT_TRUE(MA::is_orphan(orphan));
     std::array<MA::Op, 2> ops{MA::Op::remove(282),
                               MA::Op::put(283, TagFor(283, 1))};
     const std::vector<std::uint32_t> order{0, 1};
-    const std::uint64_t c = MA::version_reserve(m);
+    MA::Commit commit(m);
     std::vector<MA::Node*> pieces;
     std::size_t applied = 0;
     std::int64_t delta = 0;
     auto apply = [&](std::size_t i) {
-      MA::apply_chunk_ops(m, orphan, ops.data(), order, i, i + 1, c,
-                          MA::snapshots_active(m), pieces, applied, delta);
+      MA::apply_chunk_ops(m, commit, orphan, ops.data(), order, i, i + 1,
+                          pieces, applied, delta);
     };
     apply(0);  // remove(282)
 

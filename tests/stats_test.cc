@@ -189,6 +189,39 @@ TEST(Stats, SkipVectorCounterFlow) {
   // 512 sequential inserts into chunks of the default target size must have
   // split at least once.
   EXPECT_GT(s[Counter::kCapacitySplits] + s[Counter::kTowerSplits], 0u);
+
+  // Writes that change nothing are answered by a read: a height-0
+  // duplicate insert freezes (and so thaws) nothing, and with a snapshot
+  // pinned a remove or update miss keeps no pre-image.
+  const Snapshot before_dup = m.stats_registry().snapshot();
+  EXPECT_FALSE(m.insert_with_height(0, 7, 0));
+  const Snapshot dup = m.stats_registry().snapshot() - before_dup;
+  EXPECT_EQ(dup[Counter::kInsertDup], 1u);
+  EXPECT_EQ(dup[Counter::kFreezes], 0u);
+  EXPECT_EQ(dup[Counter::kThaws], 0u);
+  const auto view = m.snapshot_at();
+  ASSERT_TRUE(view.versioned());
+  const Snapshot before_miss = m.stats_registry().snapshot();
+  EXPECT_FALSE(m.remove(3));
+  EXPECT_FALSE(m.update(3, 1));
+  const Snapshot miss = m.stats_registry().snapshot() - before_miss;
+  EXPECT_EQ(miss[Counter::kRemoveMiss] + miss[Counter::kUpdateMiss], 2u);
+  EXPECT_EQ(miss[Counter::kVersionRecords], 0u);
+}
+
+// No stats guard: commit_version() is kept under SV_STATS=OFF too. A write
+// that changes nothing reserves no commit version.
+TEST(Stats, NoOpWritesReserveNoCommitVersion) {
+  sv::core::SkipVector<std::uint64_t, std::uint64_t> m(
+      sv::core::Config::for_elements(1024));
+  for (std::uint64_t k = 0; k < 512; ++k) m.insert(k * 2, k);
+  const std::uint64_t quiet = m.commit_version();
+  EXPECT_FALSE(m.remove(3));
+  EXPECT_FALSE(m.update(3, 1));
+  EXPECT_FALSE(m.insert(0, 1));
+  EXPECT_EQ(m.commit_version(), quiet);
+  EXPECT_TRUE(m.update(0, 1));
+  EXPECT_EQ(m.commit_version(), quiet + 1);
 }
 
 TEST(Stats, ShardedSnapshotAggregatesShards) {

@@ -418,11 +418,10 @@ using Chunk = MA::Node;
 
 // Write-locks k's floor chunk the way another pass would hold it.
 Chunk* HoldFloor(Map& m, std::uint64_t k) {
-  txn::OpScope<Map> scope(m);
+  MA::OpScope scope(m);
   Chunk* c = nullptr;
-  EXPECT_EQ(MA::lock_floor_descent(m, scope.ctx(), {}, k, &c),
+  EXPECT_EQ(MA::lock_floor_descent(m, scope.ctx, {}, k, &c),
             MA::Seek::kLocked);
-  scope.ctx().drop_all();
   return c;
 }
 
@@ -561,13 +560,13 @@ TEST(TxnLockPass, LockedSuccessorIsNotCovered) {
     ASSERT_TRUE(MA::is_orphan(orphan));
     std::array<MA::Op, 2> ops{MA::Op::remove(282), MA::Op::put(283, 2830)};
     const std::vector<std::uint32_t> order{0, 1};
-    const std::uint64_t version = MA::version_reserve(m);
+    MA::Commit commit(m);
     std::vector<Chunk*> pieces;
     std::size_t applied = 0;
     std::int64_t delta = 0;
     auto apply = [&](std::size_t i) {
-      MA::apply_chunk_ops(m, orphan, ops.data(), order, i, i + 1, version,
-                          MA::snapshots_active(m), pieces, applied, delta);
+      MA::apply_chunk_ops(m, commit, orphan, ops.data(), order, i, i + 1,
+                          pieces, applied, delta);
     };
     apply(0);  // remove(282)
 
